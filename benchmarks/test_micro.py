@@ -222,20 +222,14 @@ def test_parallel_diamond_speedup():
 
 
 # ---------------------------------------------------------------------------
-# Decision-procedure backend micro comparison
+# FM cube satisfiability micro benchmarks
 # ---------------------------------------------------------------------------
 
-# One benchmark per constructible backend (z3 appears only where the
-# optional z3-solver package is importable), so ``pytest benchmarks -k
-# backend_cube`` prints a per-backend timing table.  Verdict agreement is
-# asserted inside each run: exact for "fm"-semantics engines, the
-# one-sided UNSAT law for exact-integer ones (see docs/solver.md).
 
-
-def _backend_micro_cubes():
+def _micro_cubes():
     """A deterministic batch of ~60 raw-atom cubes over four variables,
-    mixing satisfiable and contradictory systems (seeded, so every
-    backend times the identical workload)."""
+    mixing satisfiable and contradictory systems (seeded, so every run
+    times the identical workload)."""
     import random
 
     from fractions import Fraction
@@ -261,41 +255,10 @@ def _backend_micro_cubes():
     return cubes
 
 
-def _available_backend_names():
-    from repro.arith.backends import available_backends
-
-    return available_backends()
-
-
-@pytest.mark.parametrize("backend_name", _available_backend_names())
-def test_bench_backend_cube_sat(benchmark, backend_name):
-    from repro.arith.backends import get_backend
-
-    be = get_backend(backend_name)
-    ref = get_backend("reference")
-    cubes = _backend_micro_cubes()
-    expected = [ref.cube_is_sat(c) for c in cubes]
-
-    def run():
-        be.clear_caches()
-        return [be.cube_is_sat(c) for c in cubes]
-
-    got = benchmark(run)
-    if be.semantics == "fm":
-        assert got == expected, f"backend {be.name} diverged from reference"
-    else:
-        # exact-integer engines may prune models the fm relaxation keeps,
-        # but fm-UNSAT must imply int-UNSAT
-        for fm_sat, int_sat in zip(expected, got):
-            if not fm_sat:
-                assert not int_sat
-    be.clear_caches()
-
-
-def _backend_dense_cubes():
+def _dense_cubes():
     """Three dense 18-atom cubes over five variables: the quadratic FM
-    pairing dominates here, which is where the vectorized matrix engine
-    pulls ahead (the small-cube workload above is overhead-bound)."""
+    pairing dominates here (the small-cube workload above is
+    overhead-bound)."""
     import random
 
     from fractions import Fraction
@@ -320,27 +283,26 @@ def _backend_dense_cubes():
     return cubes
 
 
-@pytest.mark.parametrize("backend_name", _available_backend_names())
-def test_bench_backend_dense_cube_sat(benchmark, backend_name):
-    from repro.arith.backends import get_backend
-
-    be = get_backend(backend_name)
-    ref = get_backend("reference")
-    cubes = _backend_dense_cubes()
-    expected = [ref.cube_is_sat(c) for c in cubes]
+def _bench_cold_cube_sat(benchmark, cubes):
+    from repro.arith import fm
 
     def run():
-        be.clear_caches()
-        return [be.cube_is_sat(c) for c in cubes]
+        fm.clear_fm_caches()
+        return [fm.cube_is_sat(c) for c in cubes]
 
     got = benchmark(run)
-    if be.semantics == "fm":
-        assert got == expected, f"backend {be.name} diverged from reference"
-    else:
-        for fm_sat, int_sat in zip(expected, got):
-            if not fm_sat:
-                assert not int_sat
-    be.clear_caches()
+    fm.clear_fm_caches()
+    assert got == [fm._cube_is_sat(c) for c in cubes]
+    return got
+
+
+def test_bench_fm_cube_sat(benchmark):
+    got = _bench_cold_cube_sat(benchmark, _micro_cubes())
+    assert True in got and False in got  # both outcomes are exercised
+
+
+def test_bench_fm_dense_cube_sat(benchmark):
+    _bench_cold_cube_sat(benchmark, _dense_cubes())
 
 
 # ---------------------------------------------------------------------------

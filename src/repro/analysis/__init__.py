@@ -14,15 +14,11 @@ purposes (see ``docs/analysis.md``):
   interpreter over a constant/interval domain (widening at loop heads)
   plus per-loop modification and liveness facts.
 * :mod:`~repro.analysis.prefacts` / :mod:`~repro.analysis.quick` --
-  the :class:`PreFacts` object threaded through
-  :func:`repro.core.pipeline.infer_program` (``preanalysis=True``):
-  interval facts seed loop-method contracts, modification sets narrow
-  the Farkas ranking search, and quick verdicts short-circuit SCC
-  analysis entirely.
-* :mod:`~repro.analysis.check` -- the differential harness behind
-  ``--check-preanalysis``: every pre-analysis answer is recomputed by
-  the full pipeline and any verdict divergence raises with a minimized
-  program reproducer.
+  the :class:`PreFacts` object that
+  :func:`repro.core.pipeline.prepare_program` builds for every source
+  program: interval facts seed loop-method contracts, modification sets
+  narrow the Farkas ranking search, and quick verdicts short-circuit
+  SCC analysis entirely.
 """
 
 from repro.analysis.diagnostics import (  # noqa: F401
@@ -37,9 +33,4 @@ from repro.analysis.validate import (  # noqa: F401
     validate_program,
     validate_source,
 )
-from repro.analysis.prefacts import PreFacts, pre_analyze  # noqa: F401
-from repro.analysis.check import (  # noqa: F401
-    PreAnalysisDivergence,
-    check_corpus,
-    checked_infer,
-)
+from repro.analysis.prefacts import PreFacts  # noqa: F401

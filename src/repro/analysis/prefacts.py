@@ -1,18 +1,22 @@
-"""Pre-analysis driver: validate, prune, desugar, seed, hint, certify.
+"""Pre-analysis phases: prune, then seed, hint and certify.
 
-:func:`pre_analyze` packages everything the pipeline consumes into one
-:class:`PreFacts` value, threaded through
-:func:`repro.core.pipeline.infer_program` via ``preanalysis=True`` the
-same way ``jobs=`` / ``store=`` / ``backend=`` are:
+Every source program goes through
+:func:`repro.core.pipeline.prepare_program`, which runs these phases
+around validation and desugaring and packages the result in one
+:class:`PreFacts` value:
 
-1. **validate** -- run the lint layer; errors raise
-   :class:`~repro.analysis.diagnostics.ProgramInvalid` (``strict``).
-2. **analyze** -- interval abstract interpretation per heap-free method.
+1. **validate** -- the lint layer; errors raise
+   :class:`~repro.analysis.diagnostics.ProgramInvalid`.
+2. **analyze** -- interval abstract interpretation per heap-free method
+   (:func:`prune_program`).
 3. **prune** -- drop loops whose guard is definitely false and branches
    that can never run (guards are side-effect-free by construction:
    call-containing guards never evaluate definitely).  Pruned methods
    are re-analyzed so node-identity keys stay accurate.
 4. **desugar** -- with :class:`~repro.lang.desugar.LoopOrigin` capture.
+
+Steps 5-7 are :func:`annotate`:
+
 5. **seed** -- conjoin each loop method's ``requires`` with the finite
    interval bounds its head invariant established for carried
    variables.  The invariant holds at every head visit, and the loop
@@ -32,10 +36,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from repro.analysis.absint import MethodFacts, analyze_method
-from repro.analysis.diagnostics import Diagnostic, ProgramInvalid, Severity, errors
+from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.loopinfo import loop_facts
 from repro.analysis.quick import QuickVerdict, stuck_certificate, term_certificate
-from repro.analysis.validate import validate_program
 from repro.arith.formula import Formula, atom_ge, atom_le, conj
 from repro.arith.terms import var
 from repro.lang.ast import (
@@ -55,7 +58,7 @@ from repro.lang.ast import (
     While,
     seq,
 )
-from repro.lang.desugar import LoopOrigin, desugar_program
+from repro.lang.desugar import LoopOrigin
 
 
 @dataclass
@@ -205,16 +208,19 @@ def _interval_facts(origin: LoopOrigin, facts: MethodFacts) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Driver
+# Phases (driven by repro.core.pipeline.prepare_program)
 # ---------------------------------------------------------------------------
 
 
-def pre_analyze(program: Program, strict: bool = True) -> PreFacts:
-    """Run the full pre-analysis over a *source* (non-desugared) program."""
-    diags = validate_program(program)
-    if strict and errors(diags):
-        raise ProgramInvalid(diags)
+def prune_program(
+    program: Program, diags: List[Diagnostic]
+) -> Tuple[Program, Dict[str, MethodFacts], List[str]]:
+    """Interval-analyze every eligible method of a *source* program and
+    prune its dead code.
 
+    Returns the pruned program, the per-method facts (keyed by node
+    identity in the pruned program) and the names of pruned methods;
+    dead-code warnings are appended to *diags*."""
     method_facts: Dict[str, MethodFacts] = {}
     methods2: Dict[str, Method] = {}
     pruned: List[str] = []
@@ -241,26 +247,21 @@ def pre_analyze(program: Program, strict: bool = True) -> PreFacts:
         methods2[name] = m
         method_facts[name] = facts
     program2 = Program(data_decls=program.data_decls, methods=methods2)
+    return program2, method_facts, pruned
 
-    origins: Dict[str, LoopOrigin] = {}
-    desugared = desugar_program(program2, origin_out=origins)
 
-    pre = PreFacts(
-        source=program2,
-        desugared=desugared,
-        diagnostics=diags,
-        origins=origins,
-        pruned=pruned,
-    )
-
+def annotate(pre: PreFacts, method_facts: Dict[str, MethodFacts]) -> None:
+    """Seed, hint and certify the loop methods of ``pre.desugared`` in
+    place, recording what was done in *pre*.  *method_facts* are the
+    :func:`prune_program` facts of ``pre.source``."""
     loop_info = {
-        name: loop_facts(m, program2)
-        for name, m in program2.methods.items()
+        name: loop_facts(m, pre.source)
+        for name, m in pre.source.methods.items()
         if name in method_facts
     }
 
-    for loop_name, origin in origins.items():
-        loop_method = desugared.methods[loop_name]
+    for loop_name, origin in pre.origins.items():
+        loop_method = pre.desugared.methods[loop_name]
         facts = method_facts.get(origin.method_name)
         if facts is None:
             continue  # enclosing method was ineligible: no facts to use
@@ -293,5 +294,3 @@ def pre_analyze(program: Program, strict: bool = True) -> PreFacts:
             cond = stuck_certificate(node.cond, node.body)
             if cond is not None:
                 pre.quick[loop_name] = QuickVerdict("stuck", cond=cond)
-
-    return pre

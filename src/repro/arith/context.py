@@ -19,12 +19,11 @@ procedures:
   Several contexts may share one stats object (pass ``stats=``), which is
   how the pipeline aggregates per-SCC contexts into per-program numbers
   for bench reporting.
-* **A pluggable cube backend** (pass ``backend=`` -- a name like
-  ``"matrix"`` or ``"differential"``, or a live
-  :class:`~repro.arith.backends.CubeBackend`).  All cube-level decision
-  work (satisfiability, projection, models) is routed through it; the
-  default is the exact-Fraction ``reference`` engine, preserving the
-  pre-backend behaviour bit for bit.  See :mod:`repro.arith.backends`.
+
+All cube-level decision work (satisfiability, projection, models) goes
+to the exact-Fraction Fourier-Motzkin engine, looked up as ``fm.<name>``
+at call time so instrumentation that wraps the module attribute sees
+every call.
 
 The module-level functions in :mod:`repro.arith.solver` remain available
 as a thin facade over a process-wide default context, so existing callers
@@ -39,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.arith import backends as _backends
 from repro.arith import fm
 from repro.arith.formula import (
     And,
@@ -158,10 +156,8 @@ class SolverContext:
         self,
         cache_size: int = 200_000,
         stats: Optional[SolverStats] = None,
-        backend: Optional[object] = None,
     ):
         self.stats = stats if stats is not None else SolverStats()
-        self.backend = _backends.get_backend(backend)
         self._sat = LRUCache(cache_size, self.stats)
         self._entail = LRUCache(cache_size, self.stats)
         self._project = LRUCache(cache_size, self.stats)
@@ -280,7 +276,7 @@ class SolverContext:
         return result
 
     def _raw_sat(self, p: Formula) -> bool:
-        sat = self.backend.cube_is_sat
+        sat = fm.cube_is_sat
         if not self.assumptions():
             return any(sat(cube) for cube in to_dnf(p))
         try:
@@ -354,7 +350,7 @@ class SolverContext:
                     antecedent, neg(self._eliminate_quantifiers(consequent))
                 )
                 result = not any(
-                    self.backend.cube_is_sat(cube) for cube in to_dnf(goal)
+                    fm.cube_is_sat(cube) for cube in to_dnf(goal)
                 )
         except MemoryError:
             return False
@@ -405,7 +401,7 @@ class SolverContext:
         cubes: List[Formula] = []
         for cube in to_dnf(p):
             try:
-                projected = self.backend.project_cube(
+                projected = fm.project_cube(
                     cube, keep=keep, eliminate=eliminate
                 )
             except fm.Unsat:
@@ -432,7 +428,7 @@ class SolverContext:
         """A satisfying assignment for *p* (ignoring assumptions), or
         ``None``."""
         for cube in to_dnf(p):
-            env = self.backend.cube_model(cube)
+            env = fm.cube_model(cube)
             if env is not None:
                 for v in p.free_vars():
                     env.setdefault(v, Fraction(0))
@@ -452,13 +448,13 @@ class SolverContext:
         if len(cubes) > 12:
             # Large disjunctions: quadratic pruning/subsumption would
             # dominate the analysis; keep the cheap unsat-cube filter.
-            sat_cubes = [c for c in cubes if self.backend.cube_is_sat(c)]
+            sat_cubes = [c for c in cubes if fm.cube_is_sat(c)]
             if not sat_cubes:
                 return FALSE
             return disj(*(conj(*c) for c in sat_cubes))
         kept_cubes: List[List[Atom]] = []
         for cube in cubes:
-            if not self.backend.cube_is_sat(cube):
+            if not fm.cube_is_sat(cube):
                 continue
             kept_cubes.append(self._prune_cube(cube))
         # subsumption between cubes: cube A subsumes cube B when B => A

@@ -21,16 +21,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import linprog
 
 from repro.arith.formula import Atom, Rel
 from repro.arith.terms import LinExpr
-
-try:  # scipy is an install-time dependency; degrade gracefully for safety
-    from scipy.optimize import linprog
-
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover - scipy is always present in CI
-    _HAVE_SCIPY = False
 
 
 class LPProblem:
@@ -95,8 +89,6 @@ class LPProblem:
         only guarantees that the floats scipy produced were rationalised
         with small denominators.
         """
-        if not _HAVE_SCIPY:  # pragma: no cover
-            return None
         names = self._vars
         if not names:
             return {}

@@ -35,17 +35,6 @@ def elimination_count() -> int:
     return _ELIMINATIONS
 
 
-def record_eliminations(n: int) -> None:
-    """Add *n* elimination work units to the module counter.
-
-    Alternative cube engines (:mod:`repro.arith.backends`) report their
-    elimination work through here so context statistics and perf guards
-    see one uniform counter regardless of the backend in use.
-    """
-    global _ELIMINATIONS
-    _ELIMINATIONS += n
-
-
 class Unsat(Exception):
     """Raised internally when a cube is discovered to be contradictory."""
 

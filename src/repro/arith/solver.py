@@ -64,8 +64,8 @@ def clear_caches() -> None:
     """Drop all memoised solver results and reset statistics.
 
     Clears the default context's caches and stats, the module-level DNF
-    memo, the FM cube-satisfiability memo and the private memo of every
-    instantiated solver backend (mostly useful in benchmarks).
+    memo and the FM cube-satisfiability memo (mostly useful in
+    benchmarks).
 
     **Thread contract.**  Safe to call while other threads are mid-query:
     every cache is an :class:`~repro.arith.lru.LRUCache`, whose ``clear``
@@ -79,13 +79,10 @@ def clear_caches() -> None:
     see ``docs/serve.md``) normally never call this at all -- resident
     caches are the point -- and rely on LRU bounds for growth control.
     """
-    from repro.arith.backends import clear_backend_caches
-
     with _CLEAR_LOCK:
         default_context().clear(reset_stats=True)
         clear_dnf_cache()
         fm.clear_fm_caches()
-        clear_backend_caches()
 
 
 def cache_telemetry() -> Dict[str, object]:
@@ -93,17 +90,14 @@ def cache_telemetry() -> Dict[str, object]:
 
     One observability call for a process that never exits: the default
     context's per-kind caches, the module-level DNF and FM cube memos,
-    each instantiated backend's private memo, and the live size of the
-    formula intern table (weak, so it tracks the resident formula
-    universe).  All numbers are read without locking -- they are
-    monitoring data, exact only in a quiescent process."""
-    from repro.arith.backends import backend_cache_stats
-
+    and the live size of the formula intern table (weak, so it tracks
+    the resident formula universe).  All numbers are read without
+    locking -- they are monitoring data, exact only in a quiescent
+    process."""
     return {
         "default_context": default_context().cache_sizes(),
         "dnf": dnf_cache_stats(),
         "fm": fm.fm_cache_stats(),
-        "backends": backend_cache_stats(),
         "interned_formulas": intern_table_size(),
     }
 

@@ -29,22 +29,6 @@ spec store (see ``docs/store.md``) and each table grows a ``HIPTNT+
 cold-vs-warm in one table.  ``--cold`` wipes the store first, so the
 first sweep is guaranteed cold even when DIR already holds entries from
 an earlier invocation.
-
-With ``--backend NAME`` (e.g. ``matrix``) each table grows a ``HIPTNT+
-[NAME]`` row running the sweep with that decision-procedure backend
-(see ``docs/solver.md``) and a footer line reporting verdict parity and
-the measured wall-clock ratio against the reference row.
-
-By default each table also grows a ``HIPTNT+ (pre)`` row running the
-sweep with the dataflow pre-analysis layer (see ``docs/analysis.md``)
-plus a ``↳ preanalysis`` footer measuring its verdict refinements and
-wall-clock win against the plain row; ``--no-preanalysis`` drops both.
-
-``--check-preanalysis`` runs the differential self-check instead of the
-table: every program of the selected corpus is analyzed twice (with and
-without pre-analysis) and the verdicts are compared directly -- not via
-the bench harness, whose error handling would fold a soundness crash
-into an UNKNOWN row.  Exits nonzero on any divergence.
 """
 
 from __future__ import annotations
@@ -119,24 +103,6 @@ def main() -> None:
         help="wipe the --store directory before running, guaranteeing the "
         "first HIPTNT+ sweep is cold",
     )
-    parser.add_argument(
-        "--backend", metavar="NAME", default=None,
-        help="decision-procedure backend (reference, matrix, z3, "
-        "differential[:a,b]); adds a 'HIPTNT+ [NAME]' row running the "
-        "sweep on that backend plus a parity/speedup footer against the "
-        "reference row",
-    )
-    parser.add_argument(
-        "--no-preanalysis", dest="preanalysis", action="store_false",
-        help="drop the 'HIPTNT+ (pre)' row and its refinement/speedup "
-        "footer (the pre-analysis comparison runs by default)",
-    )
-    parser.add_argument(
-        "--check-preanalysis", action="store_true",
-        help="instead of the table, run the pre-analysis differential "
-        "self-check over the selected corpus (exit 1 on any verdict "
-        "divergence)",
-    )
     # parse_intermixed_args lets options appear before the FILE
     # positionals ("analyze --language st prog"), which plain
     # parse_args mis-handles for nargs="*".
@@ -144,11 +110,8 @@ def main() -> None:
     if args.table == "analyze":
         if not args.paths:
             parser.error("'analyze' needs at least one FILE")
-        if args.store or args.backend or args.cold or args.check_preanalysis:
-            parser.error(
-                "'analyze' takes no --store/--cold/--backend/"
-                "--check-preanalysis"
-            )
+        if args.store or args.cold:
+            parser.error("'analyze' takes no --store/--cold")
         sys.exit(_analyze_files(args))
     if args.paths:
         parser.error(f"'{args.table}' takes no FILE arguments")
@@ -164,31 +127,16 @@ def main() -> None:
             "--generate/--seed/--dir/--fuel/--inject-flip only apply to "
             "the 'corpus' command"
         )
-    if args.table == "corpus" and args.check_preanalysis:
-        parser.error("'corpus' takes no --check-preanalysis")
-    if args.table == "st" and (
-        args.backend or args.cold or args.check_preanalysis
-    ):
-        parser.error("'st' takes no --cold/--backend/--check-preanalysis")
+    if args.table == "st" and args.cold:
+        parser.error("'st' takes no --cold")
     if args.cold and not args.store:
         parser.error("--cold requires --store DIR")
-    if args.check_preanalysis and (args.store or args.backend or args.cold):
-        parser.error("--check-preanalysis takes no --store/--cold/--backend")
-    if args.backend:
-        from repro.arith.backends import get_backend
-
-        try:
-            get_backend(args.backend)
-        except Exception as exc:
-            parser.error(f"--backend {args.backend}: {exc}")
     if args.cold:
         from repro.store import SpecStore
 
         SpecStore(args.store).wipe()
     if args.table == "corpus":
         sys.exit(_corpus(args, parser))
-    if args.check_preanalysis:
-        sys.exit(_check_preanalysis(args))
     if args.table == "st":
         from repro.bench.reporting import st_table
 
@@ -196,14 +144,8 @@ def main() -> None:
                          store=args.store)
         print(table)
         sys.exit(0 if "all verdicts match" in table else 1)
-    if args.table == "fig10":
-        print(fig10_table(timeout=args.timeout, jobs=args.jobs,
-                          store=args.store, backend=args.backend,
-                          preanalysis=args.preanalysis))
-    else:
-        print(fig11_table(timeout=args.timeout, jobs=args.jobs,
-                          store=args.store, backend=args.backend,
-                          preanalysis=args.preanalysis))
+    render = fig10_table if args.table == "fig10" else fig11_table
+    print(render(timeout=args.timeout, jobs=args.jobs, store=args.store))
 
 
 def _corpus(args, parser) -> int:
@@ -258,7 +200,6 @@ def _corpus(args, parser) -> int:
             timeout=args.timeout,
             jobs=args.jobs,
             store=args.store,
-            backend=args.backend,
             time_budget=min(args.timeout, 15.0),
             fuel=args.fuel if args.fuel is not None else DEFAULT_FUEL,
             flip=flip,
@@ -312,38 +253,6 @@ def _analyze_files(args) -> int:
                 continue
             print(f"  {name}: {result.verdict(name)}")
     return status
-
-
-def _check_preanalysis(args) -> int:
-    """Differential self-check over the corpus the selected table uses.
-
-    Goes through :func:`repro.analysis.check.check_corpus` -- direct
-    ``infer_program`` calls, no ``run_tool`` wrapper -- so an exception
-    inside either configuration surfaces instead of becoming an UNKNOWN
-    row.  The per-inference solver budget is capped by ``--timeout``.
-    """
-    from repro.analysis.check import check_corpus
-    from repro.bench.programs import all_programs
-
-    corpus = all_programs()
-    if args.table == "fig11":
-        corpus = [
-            p for p in corpus
-            if p.loop_based
-            and p.category in ("crafted", "crafted-lit", "numeric")
-        ]
-    divergences = check_corpus(
-        programs=corpus,
-        time_budget=min(args.timeout, 15.0),
-        jobs=args.jobs,
-    )
-    for d in divergences:
-        print(d, file=sys.stderr)
-    print(
-        f"check-preanalysis [{args.table}]: {len(corpus)} programs, "
-        f"{len(divergences)} divergences"
-    )
-    return 1 if divergences else 0
 
 
 if __name__ == "__main__":

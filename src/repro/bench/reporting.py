@@ -13,21 +13,6 @@ Both tables accept ``store=`` (a persistent spec-store directory, see
 extra ``HIPTNT+ (warm)`` row re-runs the same programs against the
 now-populated store -- the cold-vs-warm comparison, with store
 hit/miss/invalidation counters on the ``↳ solver`` summary lines.
-
-They also accept ``backend=`` (a decision-procedure backend name, see
-:mod:`repro.arith.backends` and ``docs/solver.md``): an extra ``HIPTNT+
-[<backend>]`` row runs the full sweep with that cube engine, and a
-``↳ backend`` footer line checks the row program-by-program against the
-reference row -- verdict parity plus the measured wall-clock ratio.
-
-With ``preanalysis=True`` (the CLI default; ``--no-preanalysis``
-disables it) an extra ``HIPTNT+ (pre)`` row runs the sweep with the
-dataflow pre-analysis layer (:mod:`repro.analysis`) enabled, and a
-``↳ preanalysis`` footer checks it program-by-program against the plain
-row: conflicts (definite-vs-definite disagreements) are flagged,
-refinements (U resolved to a definite answer by quick verdicts or
-seeded contracts) are counted, and the wall-clock ratio lands as the
-measured speedup (or parity).
 """
 
 from __future__ import annotations
@@ -63,14 +48,10 @@ class _HipWrapper:
     """
 
     def __init__(self, name: str = "HIPTNT+",
-                 store: Optional[str] = None,
-                 backend: Optional[str] = None,
-                 preanalysis: bool = False) -> None:
+                 store: Optional[str] = None) -> None:
         self.name = name
         self._main: Optional[str] = None
         self._store = store
-        self._backend = backend
-        self._preanalysis = preanalysis
         self.last_stats = None  # forwarded from the wrapped tool
 
     def bind(self, main: str) -> "_HipWrapper":
@@ -79,9 +60,7 @@ class _HipWrapper:
 
     def analyze(self, program):
         assert self._main is not None
-        tool = HipTNTPlus(self._main, store=self._store,
-                          backend=self._backend,
-                          preanalysis=self._preanalysis)
+        tool = HipTNTPlus(self._main, store=self._store)
         try:
             return tool.analyze(program)
         finally:
@@ -93,27 +72,15 @@ _FIG10_TOOLS = ("AProVE-like", "ULTIMATE-like", "HIPTNT+")
 #: Row label of the repeat HIPTNT+ sweep in store-enabled tables.
 HIP_WARM = "HIPTNT+ (warm)"
 
-#: Row label of the extra HIPTNT+ sweep with the pre-analysis layer on.
-HIP_PRE = "HIPTNT+ (pre)"
 
-
-def hip_backend_label(backend: str) -> str:
-    """Row label of the extra HIPTNT+ sweep run with *backend*."""
-    return f"HIPTNT+ [{backend}]"
-
-
-def _make_tool(name: str, main: str, store: Optional[str] = None,
-               backend: Optional[str] = None):
+def _make_tool(name: str, main: str, store: Optional[str] = None):
     """A fresh analyzer instance for one (tool, program) task.
 
     Fresh per task (rather than shared across the sweep) so a task is
     self-contained and picklable for sharded execution; the analyzers are
-    stateless per run, so sequential results are unchanged.  *store* and
-    *backend* only affect the HIPTNT+ rows -- the baselines have no
-    summary reuse to cache and no pluggable cube engine; the plain
-    ``HIPTNT+`` and warm rows always run the reference backend, so a
-    ``HIPTNT+ [<backend>]`` row has a same-table baseline to be compared
-    against.
+    stateless per run, so sequential results are unchanged.  *store*
+    only affects the HIPTNT+ rows -- the baselines have no summary reuse
+    to cache.
     """
     if name == "AProVE-like":
         return AProVELikeAnalyzer()
@@ -123,12 +90,6 @@ def _make_tool(name: str, main: str, store: Optional[str] = None,
         return T2LikeAnalyzer()
     if name in ("HIPTNT+", HIP_WARM):
         return _HipWrapper(name, store=store).bind(main)
-    if name == HIP_PRE:
-        # Never store-cached: the row must measure live pre-analysis
-        # pruning, not store replay of the cold sweep's results.
-        return _HipWrapper(name, store=None, preanalysis=True).bind(main)
-    if backend is not None and name == hip_backend_label(backend):
-        return _HipWrapper(name, store=None, backend=backend).bind(main)
     raise KeyError(name)
 
 
@@ -138,8 +99,6 @@ def run_fig10(
     programs: Optional[List[BenchProgram]] = None,
     jobs: int = 1,
     store: Optional[str] = None,
-    backend: Optional[str] = None,
-    preanalysis: bool = False,
 ) -> Dict[str, Dict[str, List[BenchOutcome]]]:
     """All Fig. 10 outcomes: tool -> category -> outcome list.
 
@@ -153,23 +112,10 @@ def run_fig10(
     (warm)``) runs *after* the first completes -- its rows measure warm
     re-analysis against whatever the first sweep cached, the
     cold-vs-warm comparison of ``docs/store.md``.
-
-    With a *backend* name, an extra ``HIPTNT+ [<backend>]`` sweep runs
-    the same programs with that cube engine (never store-cached, so the
-    comparison is always against live solving).
-
-    With ``preanalysis=True``, an extra ``HIPTNT+ (pre)`` sweep runs the
-    same programs with the dataflow pre-analysis layer enabled (also
-    never store-cached, for the same reason).
     """
     corpus = programs if programs is not None else all_programs()
     in_scope = [b for b in corpus if b.category in categories]
-    backend_row = [hip_backend_label(backend)] if backend else []
-    pre_row = [HIP_PRE] if preanalysis else []
-    tool_names = (
-        list(_FIG10_TOOLS) + pre_row + backend_row
-        + ([HIP_WARM] if store else [])
-    )
+    tool_names = list(_FIG10_TOOLS) + ([HIP_WARM] if store else [])
     results: Dict[str, Dict[str, List[BenchOutcome]]] = {
         name: {c: [] for c in categories} for name in tool_names
     }
@@ -179,15 +125,13 @@ def run_fig10(
         keys: List[tuple] = []
         for bench in in_scope:
             for name in names:
-                pairs.append(
-                    (_make_tool(name, bench.main, store, backend), bench)
-                )
+                pairs.append((_make_tool(name, bench.main, store), bench))
                 keys.append((name, bench.category))
         outcomes = run_tools_sharded(pairs, timeout=timeout, jobs=jobs)
         for (name, category), outcome in zip(keys, outcomes):
             results[name][category].append(outcome)
 
-    sweep(list(_FIG10_TOOLS) + pre_row + backend_row)
+    sweep(_FIG10_TOOLS)
     if store:
         # The warm sweep must start only after every cold HIPTNT+ run has
         # written back, so it is a separate sharded batch.
@@ -201,17 +145,11 @@ def fig10_table(
     programs: Optional[List[BenchProgram]] = None,
     jobs: int = 1,
     store: Optional[str] = None,
-    backend: Optional[str] = None,
-    preanalysis: bool = False,
 ) -> str:
     """The Fig. 10 table as formatted text (plus, with *store*, a
-    ``HIPTNT+ (warm)`` row re-running against the populated store, with
-    *backend*, a ``HIPTNT+ [<backend>]`` row followed by a verdict
-    parity / wall-clock comparison footer, and with *preanalysis*, a
-    ``HIPTNT+ (pre)`` row followed by a refinement/speedup footer)."""
+    ``HIPTNT+ (warm)`` row re-running against the populated store)."""
     results = run_fig10(timeout=timeout, categories=categories,
-                        programs=programs, jobs=jobs, store=store,
-                        backend=backend, preanalysis=preanalysis)
+                        programs=programs, jobs=jobs, store=store)
     header = f"{'Tool':<16}"
     for c in categories:
         header += f"| {c:^26} "
@@ -240,104 +178,7 @@ def fig10_table(
         solver_line = _solver_summary(total)
         if solver_line:
             lines.append(solver_line)
-    if preanalysis:
-        ref = [o for c in categories for o in results["HIPTNT+"][c]]
-        pre = [o for c in categories for o in results[HIP_PRE][c]]
-        lines.append(_preanalysis_comparison(ref, pre))
-    if backend:
-        ref = [o for c in categories for o in results["HIPTNT+"][c]]
-        alt = [
-            o
-            for c in categories
-            for o in results[hip_backend_label(backend)][c]
-        ]
-        lines.append(_backend_comparison(ref, alt, backend))
     return "\n".join(lines)
-
-
-def _backend_comparison(
-    ref: List[BenchOutcome], alt: List[BenchOutcome], backend: str
-) -> str:
-    """Footer comparing a backend sweep against the reference sweep.
-
-    Verdicts are checked **program by program** (both sweeps run the
-    corpus in the same order), and the wall-clock ratio is reported as
-    the measured speedup -- or parity, when the corpus is too small for
-    the difference to mean anything.
-    """
-    diffs = [
-        r.program
-        for r, a in zip(ref, alt)
-        if r.program == a.program and r.verdict is not a.verdict
-    ]
-    rt = sum(o.seconds for o in ref if not o.timed_out)
-    at = sum(o.seconds for o in alt if not o.timed_out)
-    if diffs:
-        shown = ", ".join(diffs[:5]) + (", ..." if len(diffs) > 5 else "")
-        parity = f"verdicts DIFFER from reference on {len(diffs)}: {shown}"
-    else:
-        parity = f"verdicts identical to reference on all {len(alt)} programs"
-    ratio = rt / at if at > 0 else float("inf")
-    return (
-        f"  ↳ backend {backend}: {parity}; "
-        f"time {at:.1f}s vs reference {rt:.1f}s ({ratio:.2f}x)"
-    )
-
-
-def _preanalysis_comparison(
-    ref: List[BenchOutcome], pre: List[BenchOutcome]
-) -> str:
-    """Footer comparing the pre-analysis sweep against the plain sweep.
-
-    Program-by-program (both sweeps run the corpus in the same order):
-    a *conflict* -- both rows definite, different answers -- means a
-    soundness bug and is shouted; a *refinement* -- the plain row said
-    U (or timed out) and the pre-analysis row commits to a definite
-    answer -- is the designed effect of quick verdicts and seeded
-    contracts; the reverse (a definite answer weakened to U) is a
-    precision loss worth seeing.  The wall-clock ratio is the measured
-    cost/win of running the extra layer.
-    """
-    def definite(o: BenchOutcome) -> bool:
-        return o.verdict is not None and str(o.verdict) in ("Y", "N")
-
-    conflicts, refined, weakened, agree = [], 0, 0, 0
-    for r, p in zip(ref, pre):
-        if r.program != p.program:
-            continue
-        if r.verdict is p.verdict:
-            agree += 1
-        elif definite(r) and definite(p):
-            conflicts.append(r.program)
-        elif definite(p):
-            refined += 1
-        elif definite(r):
-            weakened += 1
-        else:
-            agree += 1  # U vs timeout: indefinite either way
-    rt = sum(o.seconds for o in ref if not o.timed_out)
-    pt = sum(o.seconds for o in pre if not o.timed_out)
-    stats = tally_solver_stats(pre)
-    if conflicts:
-        shown = ", ".join(conflicts[:5]) + (
-            ", ..." if len(conflicts) > 5 else ""
-        )
-        parity = f"{len(conflicts)} verdict CONFLICTS: {shown}"
-    else:
-        parity = f"no conflicts on {len(pre)} programs"
-        extras = []
-        if refined:
-            extras.append(f"{refined} refined to definite")
-        if weakened:
-            extras.append(f"{weakened} weakened to U")
-        if extras:
-            parity += f" ({', '.join(extras)})"
-    ratio = rt / pt if pt > 0 else float("inf")
-    return (
-        f"  ↳ preanalysis: {stats['pre_quick']} quick verdicts, "
-        f"{stats['pre_seeded']} seeded contracts; {parity}; "
-        f"time {pt:.1f}s vs plain {rt:.1f}s ({ratio:.2f}x)"
-    )
 
 
 def _solver_summary(outcomes: List[BenchOutcome]) -> str:
@@ -427,15 +268,11 @@ def run_fig11(
     programs: Optional[List[BenchProgram]] = None,
     jobs: int = 1,
     store: Optional[str] = None,
-    backend: Optional[str] = None,
-    preanalysis: bool = False,
 ) -> Dict[str, List[BenchOutcome]]:
     """Fig. 11 outcomes: loop-based integer programs, T2-like vs HIPTNT+.
 
     With a *store* directory a ``HIPTNT+ (warm)`` sweep is appended after
-    the cold one; with a *backend* name a ``HIPTNT+ [<backend>]`` sweep
-    and with ``preanalysis=True`` a ``HIPTNT+ (pre)`` sweep run
-    alongside the cold one, exactly as in :func:`run_fig10`.
+    the cold one, exactly as in :func:`run_fig10`.
     """
     corpus = programs if programs is not None else all_programs()
     loop_programs = [
@@ -443,12 +280,7 @@ def run_fig11(
         for p in corpus
         if p.loop_based and p.category in ("crafted", "crafted-lit", "numeric")
     ]
-    backend_row = [hip_backend_label(backend)] if backend else []
-    pre_row = [HIP_PRE] if preanalysis else []
-    tool_names = (
-        ["T2-like", "HIPTNT+"] + pre_row + backend_row
-        + ([HIP_WARM] if store else [])
-    )
+    tool_names = ["T2-like", "HIPTNT+"] + ([HIP_WARM] if store else [])
     results: Dict[str, List[BenchOutcome]] = {n: [] for n in tool_names}
 
     def sweep(names: Sequence[str]) -> None:
@@ -456,15 +288,13 @@ def run_fig11(
         keys: List[str] = []
         for bench in loop_programs:
             for name in names:
-                pairs.append(
-                    (_make_tool(name, bench.main, store, backend), bench)
-                )
+                pairs.append((_make_tool(name, bench.main, store), bench))
                 keys.append(name)
         outcomes = run_tools_sharded(pairs, timeout=timeout, jobs=jobs)
         for name, outcome in zip(keys, outcomes):
             results[name].append(outcome)
 
-    sweep(["T2-like", "HIPTNT+"] + pre_row + backend_row)
+    sweep(["T2-like", "HIPTNT+"])
     if store:
         sweep([HIP_WARM])
     return results
@@ -475,17 +305,11 @@ def fig11_table(
     programs: Optional[List[BenchProgram]] = None,
     jobs: int = 1,
     store: Optional[str] = None,
-    backend: Optional[str] = None,
-    preanalysis: bool = False,
 ) -> str:
     """The Fig. 11 table as formatted text (plus, with *store*, a
-    ``HIPTNT+ (warm)`` row, with *backend*, a ``HIPTNT+ [<backend>]``
-    row followed by a verdict parity / wall-clock comparison footer,
-    and with *preanalysis*, a ``HIPTNT+ (pre)`` row followed by a
-    refinement/speedup footer)."""
+    ``HIPTNT+ (warm)`` row)."""
     results = run_fig11(timeout=timeout, programs=programs, jobs=jobs,
-                        store=store, backend=backend,
-                        preanalysis=preanalysis)
+                        store=store)
     lines = [
         f"{'Tool':<16}{'Total':>6}{'Y':>5}{'N':>5}{'U':>5}{'T/O':>5}{'Time':>8}"
     ]
@@ -498,16 +322,4 @@ def fig11_table(
         solver_line = _solver_summary(outcomes)
         if solver_line:
             lines.append(solver_line)
-    if preanalysis:
-        lines.append(
-            _preanalysis_comparison(results["HIPTNT+"], results[HIP_PRE])
-        )
-    if backend:
-        lines.append(
-            _backend_comparison(
-                results["HIPTNT+"],
-                results[hip_backend_label(backend)],
-                backend,
-            )
-        )
     return "\n".join(lines)

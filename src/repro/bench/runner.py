@@ -70,43 +70,25 @@ class HipTNTPlus:
     cold start erases *process* history (memo caches, fresh-name
     counters), while the store carries *cross-run* results keyed so they
     are independent of process history.
-
-    *backend* (a decision-procedure backend name, see
-    :mod:`repro.arith.backends`; also kept as a plain string for
-    picklability) selects the cube engine under every solver context of
-    the run; ``None`` is the reference engine.  When set, the tool's
-    display name gains a ``[backend]`` suffix so per-backend table rows
-    are distinguishable.
-
-    *preanalysis* enables the dataflow pre-analysis layer
-    (:mod:`repro.analysis`): quick verdicts skip easy SCCs, interval
-    facts seed loop-method contracts, and ranking hints narrow the
-    Farkas search.  The tool's display name gains a ``(pre)`` suffix and
-    per-run stats report ``pre_quick`` / ``pre_seeded`` counters.
     """
+
+    name = "HIPTNT+"
 
     def __init__(
         self,
         main: str,
         time_budget: float = 15.0,
         store: Optional[str] = None,
-        backend: Optional[str] = None,
-        preanalysis: bool = False,
     ):
         self.main = main
         self.time_budget = time_budget
         self.store = store
-        self.backend = backend
-        self.preanalysis = preanalysis
-        name = "HIPTNT+" if backend is None else f"HIPTNT+ [{backend}]"
-        self.name = f"{name} (pre)" if preanalysis else name
         self.last_stats: Optional[SolverStats] = None
 
     def analyze(self, program) -> Verdict:
         self.last_stats = None  # a timed-out run must not inherit old stats
         result = infer_program(
             program, time_budget=self.time_budget, store=self.store,
-            backend=self.backend, preanalysis=self.preanalysis,
         )
         self.last_stats = result.solver_stats
         return result.verdict(self.main)

@@ -10,8 +10,10 @@ For each call-graph SCC (callees first -- rule [TNT-INF]):
    summaries, which subsequent (caller) groups consume -- this is the
    modularity/reuse claim of the paper.
 
-Programs containing heap statements are numerically abstracted by
-:mod:`repro.seplog` before the pure pipeline runs.
+Source programs first go through :func:`prepare_program` (validation,
+the interval pre-analysis and desugaring); programs containing heap
+statements are then numerically abstracted by :mod:`repro.seplog`
+before the pure pipeline runs.
 
 Summaries are pure functions of (procedure body, callee summaries), so
 step 1-5 can be skipped entirely for an SCC whose structural fingerprint
@@ -37,8 +39,10 @@ from repro.core.specs import CaseSpec, DefStore
 from repro.core.verifier import MethodAssumptions, Verifier, VerifierError
 from repro.lang import desugar_program, method_sccs, parse_program
 from repro.lang.ast import Program
+from repro.lang.desugar import LoopOrigin
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.prefacts import PreFacts
     from repro.store.specstore import SpecStore
 
 #: What callers may pass as ``store=``: a directory path or an open
@@ -226,14 +230,45 @@ def lookup_cached_specs(
     return cached
 
 
-def _validate_or_raise(program: Program) -> None:
-    """Lint a source program; raise ``ProgramInvalid`` on errors."""
-    from repro.analysis.diagnostics import ProgramInvalid  # local: avoid cycle
+def prepare_program(
+    program: Program,
+    validate: bool = True,
+    stats: Optional[SolverStats] = None,
+) -> "PreFacts":
+    """The front end every *source* program goes through.
+
+    Validate (errors raise
+    :class:`~repro.analysis.diagnostics.ProgramInvalid`; ``validate=False``
+    skips the lint layer), prune dead code with interval facts, desugar
+    loops into tail-recursive methods, then seed loop-method contracts,
+    attach ranking hints and record quick verdicts
+    (:mod:`repro.analysis.prefacts`).  The returned ``desugared`` program
+    is what the pipeline analyzes.  With *stats*, seeded contracts are
+    counted in ``stats.pre_seeded``.  Shared by :func:`infer_program` and
+    the parallel scheduler.
+    """
+    # local imports: repro.analysis imports the core; looking validate_program
+    # up at call time also lets instrumentation wrap the module attribute
+    from repro.analysis.diagnostics import ProgramInvalid, errors
+    from repro.analysis.prefacts import PreFacts, annotate, prune_program
     from repro.analysis.validate import validate_program
 
-    diags = validate_program(program)
-    if any(d.severity.value == "error" for d in diags):
+    diags = validate_program(program) if validate else []
+    if errors(diags):
         raise ProgramInvalid(diags)
+    source, method_facts, pruned = prune_program(program, diags)
+    origins: Dict[str, LoopOrigin] = {}
+    pre = PreFacts(
+        source=source,
+        desugared=desugar_program(source, origin_out=origins),
+        diagnostics=diags,
+        origins=origins,
+        pruned=pruned,
+    )
+    annotate(pre, method_facts)
+    if stats is not None:
+        stats.pre_seeded += len(pre.seeded)
+    return pre
 
 
 def quick_scc_specs(
@@ -270,9 +305,6 @@ def infer_program(
     solver_ctx: Optional[SolverContext] = None,
     jobs: int = 1,
     store: StoreArg = None,
-    backend: Optional[str] = None,
-    preanalysis: bool = False,
-    check_preanalysis: bool = False,
     validate: bool = True,
     isolate_names: bool = False,
     language: str = "native",
@@ -288,7 +320,12 @@ def infer_program(
     desugared:
         Pass ``True`` when *program* already went through
         :func:`repro.lang.desugar_program` (loops lifted to tail
-        recursion); otherwise it is desugared here.
+        recursion); it is then analyzed as given.  Otherwise it goes
+        through :func:`prepare_program` first: validation, dead-code
+        pruning, desugaring, contract seeding, ranking hints and quick
+        verdicts that resolve certified loop SCCs without the TNT
+        solver (``solver_stats.pre_quick`` / ``pre_seeded``; see
+        ``docs/analysis.md``).
     time_budget:
         Wall-clock budget (seconds) for each SCC's TNT solving loop; on
         expiry the group degrades to weaker (``MayLoop``) cases instead
@@ -317,29 +354,6 @@ def infer_program(
         (atomic rename, safe under ``jobs=N``).  Lookups are accounted
         in ``solver_stats`` (``store_hits`` / ``store_misses`` /
         ``store_invalidations``).
-    backend:
-        Decision-procedure backend name for every per-SCC solver context
-        (``"reference"``, ``"matrix"``, ``"z3"``, ``"differential"``;
-        see :mod:`repro.arith.backends`).  ``None`` keeps the default
-        (``$REPRO_SOLVER_BACKEND`` or the reference engine).  Ignored
-        when a caller-owned *solver_ctx* is supplied -- that context's
-        backend wins.  Threads through worker processes under
-        ``jobs > 1``, like *store*.
-    preanalysis:
-        Run the dataflow pre-analysis (:mod:`repro.analysis`) first:
-        prune definitely-dead loops and branches, seed loop-method
-        contracts with interval invariants, attach ranking hints, and
-        short-circuit SCCs whose loops carry a quick termination /
-        nontermination certificate (``solver_stats.pre_quick`` /
-        ``pre_seeded`` account both).  Requires a *source* program
-        (``desugared=False``); with ``desugared=True`` the flag is
-        ignored.  See ``docs/analysis.md``.
-    check_preanalysis:
-        Differential self-check: run the inference twice -- with and
-        without pre-analysis -- compare every source method's verdict,
-        and raise :class:`repro.analysis.check.PreAnalysisDivergence`
-        (with a minimized reproducer) on any difference.  Returns the
-        pre-analysis result.  Implies ``preanalysis``.
     validate:
         Lint the source program first (default): validation *errors*
         (undefined variables, unknown callees, arity mismatches, ...)
@@ -382,20 +396,8 @@ def infer_program(
             return infer_program(
                 program, max_iter=max_iter, desugared=desugared,
                 time_budget=time_budget, solver_ctx=solver_ctx, jobs=jobs,
-                store=store, backend=backend, preanalysis=preanalysis,
-                check_preanalysis=check_preanalysis, validate=validate,
-                language=language,
+                store=store, validate=validate, language=language,
             )
-
-    if check_preanalysis:
-        from repro.analysis.check import checked_infer  # local: avoid cycle
-
-        return checked_infer(
-            program, max_iter=max_iter, desugared=desugared,
-            time_budget=time_budget, solver_ctx=solver_ctx, jobs=jobs,
-            store=store, backend=backend, validate=validate,
-            language=language,
-        )
 
     jobs = resolve_jobs(jobs)
     if jobs > 1 and solver_ctx is None:
@@ -403,8 +405,8 @@ def infer_program(
 
         return infer_program_parallel(
             program, jobs=jobs, max_iter=max_iter, desugared=desugared,
-            time_budget=time_budget, store=store, backend=backend,
-            preanalysis=preanalysis, validate=validate, language=language,
+            time_budget=time_budget, store=store, validate=validate,
+            language=language,
         )
 
     from repro.seplog.abstraction import abstract_program  # local: optional dep
@@ -415,20 +417,11 @@ def infer_program(
     def group_ctx() -> SolverContext:
         if solver_ctx is not None:
             return solver_ctx
-        return SolverContext(stats=stats, backend=backend)
+        return SolverContext(stats=stats)
 
-    prefacts = None
-    if not desugared:
-        if preanalysis:
-            from repro.analysis.prefacts import pre_analyze  # local: avoid cycle
-
-            prefacts = pre_analyze(program, strict=validate)
-            program = prefacts.desugared
-            stats.pre_seeded += len(prefacts.seeded)
-        else:
-            if validate:
-                _validate_or_raise(program)
-            program = desugar_program(program)
+    prefacts = None if desugared else prepare_program(program, validate, stats)
+    if prefacts is not None:
+        program = prefacts.desugared
     program = abstract_program(program, ctx=group_ctx())
     spec_store = as_store(store)
     if spec_store is not None:
@@ -471,8 +464,7 @@ def infer_program(
 
 def infer_source(
     source: str, max_iter: int = 8, time_budget: float = 30.0,
-    jobs: int = 1, store: StoreArg = None, backend: Optional[str] = None,
-    preanalysis: bool = False, check_preanalysis: bool = False,
+    jobs: int = 1, store: StoreArg = None,
     validate: bool = True, isolate_names: bool = False,
     language: Optional[str] = None, filename: Optional[str] = None,
 ) -> InferenceResult:
@@ -481,12 +473,10 @@ def infer_source(
     ``language`` selects the source frontend by name (see
     :mod:`repro.lang.frontends`; ``None`` sniffs *filename*'s extension
     when given and otherwise means the ``native`` C-like syntax).
-    ``jobs``, ``store``, ``backend``, ``preanalysis``,
-    ``check_preanalysis``, ``validate`` and ``isolate_names`` are
+    ``jobs``, ``store``, ``validate`` and ``isolate_names`` are
     forwarded to :func:`infer_program` unchanged (parallel SCC analysis;
-    persistent summary cache; decision-procedure backend; dataflow
-    pre-analysis and its differential self-check; lint layer; reentrant
-    thread-dispatchable name scoping)."""
+    persistent summary cache; lint layer; reentrant thread-dispatchable
+    name scoping)."""
     from repro.lang.frontends import (
         DEFAULT_LANGUAGE,
         get_frontend,
@@ -499,7 +489,6 @@ def infer_source(
     return infer_program(
         frontend.parse(source, filename=filename),
         max_iter=max_iter, time_budget=time_budget,
-        jobs=jobs, store=store, backend=backend, preanalysis=preanalysis,
-        check_preanalysis=check_preanalysis, validate=validate,
+        jobs=jobs, store=store, validate=validate,
         isolate_names=isolate_names, language=frontend.name,
     )

@@ -12,7 +12,8 @@ program-wide tallies.
 Process model
 -------------
 
-* The parent desugars and heap-abstracts the program (cheap, sequential),
+* The parent prepares (validates, pre-analyzes, desugars) and
+  heap-abstracts the program (cheap, sequential),
   computes the condensation via
   :func:`repro.lang.callgraph.scc_dependencies`, and owns the dependency
   bookkeeping.
@@ -50,7 +51,6 @@ from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.arith.context import SolverContext, SolverStats
 from repro.core.specs import CaseSpec, DefStore
-from repro.lang import desugar_program
 from repro.lang.callgraph import scc_dependencies
 from repro.lang.ast import Program
 
@@ -69,15 +69,11 @@ def _init_worker(
     max_iter: int,
     time_budget: float,
     store_root: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> None:
     _WORKER_STATE["program"] = program
     _WORKER_STATE["max_iter"] = max_iter
     _WORKER_STATE["time_budget"] = time_budget
     _WORKER_STATE["store_root"] = store_root
-    # The backend travels as its registry *name* (plain string, always
-    # picklable); each worker resolves it to its own singleton instance.
-    _WORKER_STATE["backend"] = backend
 
 
 def _analyze_scc_task(
@@ -105,7 +101,7 @@ def _analyze_scc_task(
     max_iter = _WORKER_STATE["max_iter"]
     time_budget = _WORKER_STATE["time_budget"]
     stats = SolverStats()
-    ctx = SolverContext(stats=stats, backend=_WORKER_STATE.get("backend"))
+    ctx = SolverContext(stats=stats)
     store = DefStore()
     specs = analyze_scc_group(
         program, scc, callee_specs, store, max_iter, time_budget, ctx
@@ -153,8 +149,6 @@ def infer_program_parallel(
     desugared: bool = False,
     time_budget: float = 30.0,
     store=None,
-    backend: Optional[str] = None,
-    preanalysis: bool = False,
     validate: bool = True,
     language: str = "native",
 ) -> "InferenceResult":
@@ -185,24 +179,18 @@ def infer_program_parallel(
     workers, and summaries are flattened to case form before they travel.
     Callers that walk ``result.store`` must use the sequential path.
 
-    *backend* is a decision-procedure backend **name** (see
-    :mod:`repro.arith.backends`); it crosses the process boundary as a
-    plain string in the pool initializer (like the store root) and every
-    worker resolves it to its own instance -- backend objects themselves
-    never travel.
-
-    *preanalysis* / *validate* mirror the sequential driver: the parent
-    runs the dataflow pre-analysis (or just the lint layer) on the
-    source program before desugaring.  Quick-certified SCCs resolve
-    inline at submission time -- exactly like store hits, no worker
-    round-trip -- and seeded contracts plus ranking hints travel to the
-    workers on the program itself.
+    The parent runs the same front end as the sequential path
+    (:func:`repro.core.pipeline.prepare_program`, skipped for
+    ``desugared=True`` input).  Quick-certified SCCs resolve inline at
+    submission time -- exactly like store hits, no worker round-trip --
+    and seeded contracts plus ranking hints travel to the workers on the
+    program itself.
     """
     from repro.core.pipeline import (
         InferenceResult,
         lookup_cached_specs,
+        prepare_program,
         quick_scc_specs,
-        _validate_or_raise,
     )
     from repro.seplog.abstraction import abstract_program
     from repro.store.specstore import as_store
@@ -211,27 +199,16 @@ def infer_program_parallel(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     stats = SolverStats()
-    prefacts = None
-    if not desugared:
-        if preanalysis:
-            from repro.analysis.prefacts import pre_analyze
-
-            prefacts = pre_analyze(program, strict=validate)
-            program = prefacts.desugared
-            stats.pre_seeded += len(prefacts.seeded)
-        else:
-            if validate:
-                _validate_or_raise(program)
-            program = desugar_program(program)
-    program = abstract_program(
-        program, ctx=SolverContext(stats=stats, backend=backend)
-    )
+    prefacts = None if desugared else prepare_program(program, validate, stats)
+    if prefacts is not None:
+        program = prefacts.desugared
+    program = abstract_program(program, ctx=SolverContext(stats=stats))
 
     spec_store = as_store(store)
     # Parent-side context for materialising quick-verdict specs (cheap
     # is_sat/simplify calls); feeds the program-wide stats like any
     # other context.
-    quick_ctx = SolverContext(stats=stats, backend=backend)
+    quick_ctx = SolverContext(stats=stats)
     sccs, deps = scc_dependencies(program)
     if spec_store is not None:
         from repro.store.fingerprint import scc_store_keys
@@ -255,7 +232,6 @@ def infer_program_parallel(
         initargs=(
             program, max_iter, time_budget,
             str(spec_store.root) if spec_store is not None else None,
-            backend,
         ),
     ) as pool:
         remaining: List[Set[int]] = [set(d) for d in deps]

@@ -213,7 +213,6 @@ def minimize_violation(
     predicted: Label,
     time_budget: float = _SHRINK_TIME_BUDGET,
     store: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> str:
     """The smallest deletion-reachable program on which the tool still
     returns the unsound verdict *predicted* -- the reproducer attached to
@@ -224,9 +223,7 @@ def minimize_violation(
     want = label_to_verdict(predicted)
 
     def predicate(candidate) -> bool:
-        result = infer_program(
-            candidate, time_budget=time_budget, store=store, backend=backend
-        )
+        result = infer_program(candidate, time_budget=time_budget, store=store)
         return result.verdict(inst.entry) is want
 
     shrunk, _ = shrink_program(
@@ -271,7 +268,6 @@ def run_corpus(
     timeout: float = 60.0,
     jobs: int = 1,
     store: Optional[str] = None,
-    backend: Optional[str] = None,
     time_budget: float = 15.0,
     fuel: int = DEFAULT_FUEL,
     crosscheck: Optional[bool] = None,
@@ -299,10 +295,7 @@ def run_corpus(
 
     pairs = [
         (
-            HipTNTPlus(
-                inst.entry, time_budget=time_budget,
-                store=store, backend=backend,
-            ),
+            HipTNTPlus(inst.entry, time_budget=time_budget, store=store),
             inst.to_bench(),
         )
         for inst in instances
@@ -317,7 +310,7 @@ def run_corpus(
             inst = by_id[violation.instance_id]
             try:
                 minimized = minimize_violation(
-                    inst, violation.predicted, store=store, backend=backend
+                    inst, violation.predicted, store=store
                 )
             except Exception as exc:  # reproducer is best-effort
                 minimized = f"// minimization failed: {exc!r}"

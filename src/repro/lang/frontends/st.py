@@ -2,7 +2,7 @@
 
 Parses a pragmatic subset of Structured Text -- the loop-heavy
 scan-cycle shape PLC verification cares about -- and lowers it to the
-core imperative AST so desugar/validate/preanalysis/inference run
+core imperative AST so desugar/validate/pre-analysis/inference run
 unchanged:
 
 * ``FUNCTION name : TYPE ... END_FUNCTION`` -> a value-returning method.

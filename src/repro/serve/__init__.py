@@ -1,8 +1,7 @@
 """Analysis-as-a-service: a long-lived HTTP/JSON daemon over the pipeline.
 
 Every expensive asset the library builds -- the interned formula
-universe, warm solver caches, backend singletons, the persistent spec
-store -- lives exactly as long as its process.  This package keeps one
+universe, warm solver caches, the persistent spec store -- lives exactly as long as its process.  This package keeps one
 process alive and serves analyses over HTTP, so those assets amortise
 across requests instead of dying with each CLI run:
 

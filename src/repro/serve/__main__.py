@@ -41,10 +41,6 @@ def _parse_args(argv=None) -> ServiceConfig:
         help="persistent spec-store directory shared by all workers",
     )
     parser.add_argument(
-        "--backend", default=None,
-        help="default solver backend for requests that do not name one",
-    )
-    parser.add_argument(
         "--max-analysis-seconds", type=float,
         default=defaults.max_analysis_seconds,
         help="hard wall-clock cap per analysis (default %(default)s)",
@@ -62,7 +58,6 @@ def _parse_args(argv=None) -> ServiceConfig:
         workers=args.workers,
         queue_limit=args.queue_limit,
         store=args.store,
-        backend=args.backend,
         max_analysis_seconds=args.max_analysis_seconds,
     )
 

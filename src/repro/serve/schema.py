@@ -67,17 +67,6 @@ ANALYZE_REQUEST_SCHEMA: Dict[str, object] = {
             "description": "per-SCC solver wall-clock budget (seconds); "
             "on expiry the SCC degrades to weaker cases",
         },
-        "backend": {
-            "type": ["string", "null"],
-            "default": None,
-            "description": "decision-procedure backend name (reference, "
-            "matrix, z3, differential[:a,b]); null = service default",
-        },
-        "preanalysis": {
-            "type": "boolean",
-            "default": False,
-            "description": "run the dataflow pre-analysis layer first",
-        },
         "validate": {
             "type": "boolean",
             "default": True,
@@ -91,10 +80,7 @@ ANALYZE_REQUEST_SCHEMA: Dict[str, object] = {
 #: feed the request fingerprint, so the order must be stable.  The
 #: resolved frontend name is part of the knobs: identical bytes submitted
 #: in different languages must never share a dedup entry.
-KNOB_FIELDS = (
-    "language", "max_iter", "time_budget", "backend", "preanalysis",
-    "validate",
-)
+KNOB_FIELDS = ("language", "max_iter", "time_budget", "validate")
 
 
 def validate_analyze_request(
@@ -136,10 +122,6 @@ def validate_analyze_request(
             f"'time_budget' must be a number in (0, {MAX_TIME_BUDGET}]"
         )
 
-    backend = obj.get("backend")
-    if backend is not None and not isinstance(backend, str):
-        errors.append("'backend' must be a string or null")
-
     language = obj.get("language")
     if language is not None and not isinstance(language, str):
         errors.append("'language' must be a string or null")
@@ -148,13 +130,9 @@ def validate_analyze_request(
         known = ", ".join(available_languages())
         errors.append(f"unknown language {language!r} (known: {known})")
 
-    flags = {}
-    for name, default in (("preanalysis", False), ("validate", True)):
-        value = obj.get(name, default)
-        if not isinstance(value, bool):
-            errors.append(f"'{name}' must be a boolean")
-            value = default
-        flags[name] = value
+    validate = obj.get("validate", True)
+    if not isinstance(validate, bool):
+        errors.append("'validate' must be a boolean")
 
     if errors:
         return None, errors
@@ -165,9 +143,7 @@ def validate_analyze_request(
         "language": "native" if language is None else language,
         "max_iter": max_iter,
         "time_budget": float(time_budget),
-        "backend": backend,
-        "preanalysis": flags["preanalysis"],
-        "validate": flags["validate"],
+        "validate": validate,
     }, []
 
 

@@ -10,7 +10,7 @@ Architecture (see ``docs/serve.md`` for the full picture)::
                          |                store=<shared SpecStore>)
                          v
                   process-resident caches (interned formulas, DNF/FM
-                  memos, backend singletons) + on-disk spec store
+                  memos) + on-disk spec store
 
 Everything stateful -- the dedup table, counters, the pending-job gauge
 -- is touched from the event-loop thread only; worker threads run the
@@ -74,8 +74,6 @@ class ServiceConfig:
     #: Spec-store directory shared by every worker (``None`` disables the
     #: persistent layer; dedup and resident caches still apply).
     store: Optional[str] = None
-    #: Default decision-procedure backend for requests that do not name one.
-    backend: Optional[str] = None
     #: Hard per-analysis wall-clock cap (seconds), enforced by
     #: run_with_timeout around the whole inference; requests may ask for
     #: smaller per-SCC budgets but never exceed this.
@@ -313,19 +311,6 @@ class AnalysisService:
                 "invalid-request", "; ".join(errors), diagnostics=errors
             )), {}
 
-        backend = params["backend"] or self.config.backend
-        if backend is not None:
-            from repro.arith.backends import BackendUnavailable, get_backend
-
-            try:
-                get_backend(backend)
-            except ValueError as exc:
-                return 400, _encode(error_response("unknown-backend", str(exc))), {}
-            except BackendUnavailable as exc:
-                return 503, _encode(error_response(
-                    "backend-unavailable", str(exc)
-                )), {}
-
         from repro.lang.errors import SourceError
         from repro.lang.frontends import get_frontend
 
@@ -340,7 +325,6 @@ class AnalysisService:
             )), {}
 
         knobs = {k: params[k] for k in KNOB_FIELDS}
-        knobs["backend"] = backend
         fingerprint = request_fingerprint(program, knobs)
 
         role, found = self.dedup.claim(fingerprint)
@@ -366,7 +350,7 @@ class AnalysisService:
             status, payload, cacheable, stats, seconds = (
                 await loop.run_in_executor(
                     self._pool, self._analyze_blocking,
-                    program, params, backend, fingerprint,
+                    program, params, fingerprint,
                 )
             )
         except Exception as exc:  # executor infrastructure failure
@@ -392,7 +376,6 @@ class AnalysisService:
         self,
         program,
         params: Dict[str, object],
-        backend: Optional[str],
         fingerprint: str,
     ):
         """Worker-thread body: the one call that does real work.
@@ -413,8 +396,6 @@ class AnalysisService:
                     max_iter=params["max_iter"],
                     time_budget=params["time_budget"],
                     store=self._store,
-                    backend=backend,
-                    preanalysis=params["preanalysis"],
                     validate=params["validate"],
                     isolate_names=True,
                     language=params["language"],

@@ -1,11 +1,10 @@
-"""Pre-analysis driver + pipeline integration."""
+"""Pre-analysis front end + pipeline integration."""
 
 import pytest
 
-from repro.analysis import pre_analyze
-from repro.analysis.check import checked_infer
 from repro.core import infer_source
-from repro.core.pipeline import Verdict, infer_program
+from repro.core.pipeline import Verdict, infer_program, prepare_program
+from repro.lang.desugar import desugar_program
 from repro.lang.parser import parse_program
 
 COUNT_UP = """
@@ -20,17 +19,28 @@ DEAD_LOOP = """
 void main() { int i = 5; while (i < 0) { i = i + 1; } return; }
 """
 
+RECURSIVE = """
+int dec(int n) { if (n <= 0) { return 0; } else { return dec(n - 1); } }
+"""
+
+
+def _reference(source):
+    """The un-pre-analysed reference: desugared input skips the front end."""
+    return infer_program(
+        desugar_program(parse_program(source)), desugared=True
+    )
+
 
 class TestPreFacts:
     def test_seeding_strengthens_loop_contract(self):
-        pre = pre_analyze(parse_program(COUNT_UP))
+        pre = prepare_program(parse_program(COUNT_UP))
         (loop_name,) = pre.origins
         assert loop_name in pre.seeded
         req = pre.desugared.methods[loop_name].requires
         assert req is not None  # carries i >= 0 from the head invariant
 
     def test_rank_hints_are_proper_subset(self):
-        pre = pre_analyze(parse_program(COUNT_UP))
+        pre = prepare_program(parse_program(COUNT_UP))
         (loop_name,) = pre.origins
         carried = set(pre.origins[loop_name].carried)
         hint = pre.hints.get(loop_name)
@@ -39,13 +49,13 @@ class TestPreFacts:
             assert pre.desugared.methods[loop_name].rank_hints == hint
 
     def test_quick_verdicts_recorded(self):
-        pre = pre_analyze(parse_program(COUNT_UP))
+        pre = prepare_program(parse_program(COUNT_UP))
         assert [v.kind for v in pre.quick.values()] == ["term"]
-        pre = pre_analyze(parse_program(STUCK))
+        pre = prepare_program(parse_program(STUCK))
         assert [v.kind for v in pre.quick.values()] == ["stuck"]
 
     def test_dead_loop_pruned_with_warning(self):
-        pre = pre_analyze(parse_program(DEAD_LOOP))
+        pre = prepare_program(parse_program(DEAD_LOOP))
         assert pre.pruned == ["main"]
         assert not pre.origins  # the only loop is gone
         assert any(d.code == "dead-loop" for d in pre.diagnostics)
@@ -68,35 +78,37 @@ class TestPipelineIntegration:
          (DEAD_LOOP, Verdict.TERMINATING)],
     )
     def test_preanalysis_verdicts_match_ground_truth(self, source, expected):
-        plain = infer_source(source)
-        pre = infer_source(source, preanalysis=True)
-        assert pre.verdict("main") is expected
-        assert plain.verdict("main") is expected
+        assert infer_source(source).verdict("main") is expected
+        assert _reference(source).verdict("main") is expected
 
     def test_quick_short_circuit_counted(self):
-        result = infer_source(COUNT_UP, preanalysis=True)
+        result = infer_source(COUNT_UP)
         assert result.solver_stats.pre_quick == 1
         assert result.solver_stats.pre_seeded >= 1
 
     def test_plain_run_reports_no_pre_counters(self):
-        result = infer_source(COUNT_UP)
+        # a loop-free program has nothing to seed or certify
+        result = infer_source(RECURSIVE)
         assert result.solver_stats.pre_quick == 0
         assert result.solver_stats.pre_seeded == 0
 
-    def test_checked_infer_passes_on_agreement(self):
-        program = parse_program(COUNT_UP)
-        result = checked_infer(program)
-        assert result.verdict("main") is Verdict.TERMINATING
+    def test_source_and_desugared_reference_agree(self):
+        for source in (COUNT_UP, STUCK, DEAD_LOOP, RECURSIVE):
+            pre = infer_source(source)
+            ref = _reference(source)
+            shared = [m for m in ref.specs if m in pre.specs]
+            assert shared
+            assert [pre.verdict(m) for m in shared] == [
+                ref.verdict(m) for m in shared
+            ], source
 
     def test_desugared_input_ignores_preanalysis(self):
-        # pre-analysis needs source loops; on already-desugared input the
-        # flag is documented as a no-op, not an error
-        from repro.lang.desugar import desugar_program
-
-        program = desugar_program(parse_program(COUNT_UP))
-        result = infer_program(program, desugared=True, preanalysis=True)
+        # pre-analysis needs source loops; already-desugared input is
+        # analyzed as given
+        result = _reference(COUNT_UP)
         assert result.verdict("main") is Verdict.TERMINATING
         assert result.solver_stats.pre_quick == 0
+        assert result.solver_stats.pre_seeded == 0
 
 
 @pytest.mark.parallel
@@ -104,9 +116,7 @@ class TestSchedulerIntegration:
     def test_parallel_quick_parity(self):
         from repro.core.scheduler import infer_program_parallel
 
-        seq = infer_program(parse_program(STUCK), preanalysis=True)
-        par = infer_program_parallel(
-            parse_program(STUCK), jobs=2, preanalysis=True
-        )
+        seq = infer_program(parse_program(STUCK))
+        par = infer_program_parallel(parse_program(STUCK), jobs=2)
         assert par.verdict("main") is seq.verdict("main")
-        assert par.solver_stats.pre_quick == seq.solver_stats.pre_quick
+        assert par.solver_stats.pre_quick == seq.solver_stats.pre_quick == 1

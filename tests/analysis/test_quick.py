@@ -1,6 +1,5 @@
 """Quick-verdict certificates and their materialised specs."""
 
-from repro.analysis import pre_analyze
 from repro.analysis.quick import (
     build_quick_spec,
     stuck_certificate,
@@ -8,6 +7,7 @@ from repro.analysis.quick import (
 )
 from repro.analysis import intervals as iv
 from repro.arith.context import SolverContext
+from repro.core.pipeline import prepare_program
 from repro.core.predicates import Loop, Term
 from repro.lang.ast import While
 from repro.lang.parser import parse_program
@@ -96,7 +96,7 @@ class TestStuckCertificate:
 
 class TestBuildQuickSpec:
     def _loop_method(self, source, kind):
-        pre = pre_analyze(parse_program(source))
+        pre = prepare_program(parse_program(source))
         (loop_name,) = [n for n, v in pre.quick.items() if v.kind == kind]
         return pre.desugared.methods[loop_name], pre.quick[loop_name]
 

@@ -117,8 +117,7 @@ class TestTelemetry:
             is_sat(formula)
         telemetry = cache_telemetry()
         assert set(telemetry) == {
-            "default_context", "dnf", "fm", "backends", "interned_formulas",
+            "default_context", "dnf", "fm", "interned_formulas",
         }
         assert telemetry["interned_formulas"] > 0
         assert telemetry["default_context"]["sat"] >= 1
-        assert isinstance(telemetry["backends"], dict)

@@ -184,3 +184,24 @@ class TestFacade:
         f = conj(atom_ge(x, 0), atom_le(x, 2))
         assert is_sat(f, ctx)
         assert ctx.stats.sat_queries == 1
+
+
+class TestFMRouting:
+    def test_cube_work_goes_through_fm_module_attributes(self, monkeypatch):
+        # Instrumentation wraps repro.arith.fm's functions by attribute;
+        # the context must look them up at call time, not bind them early.
+        calls = []
+        for name in ("cube_is_sat", "project_cube", "cube_model"):
+            real = getattr(fm, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(fm, name, spy)
+        ctx = SolverContext()
+        f = conj(atom_ge(x, 0), atom_le(x, y))
+        assert ctx.is_sat(f)
+        assert ctx.project(f, keep={"y"}) is not None
+        assert ctx.model(f) is not None
+        assert {"cube_is_sat", "project_cube", "cube_model"} <= set(calls)

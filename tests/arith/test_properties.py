@@ -128,62 +128,3 @@ def test_projection_is_sound_overapproximation(f):
     for env in grid_models(f):
         assert g.evaluate({"x": env["x"], "y": env["y"]})
 
-
-# ---------------------------------------------------------------------------
-# Differential backend properties: on random small cubes the matrix engine
-# must agree with the reference exactly (same "fm" semantics), and the z3
-# integer backend -- when importable -- must obey the one-sided law:
-# fm-UNSAT implies int-UNSAT (the relaxation never loses integer models).
-# ---------------------------------------------------------------------------
-
-from repro.arith import fm as _fm
-from repro.arith.backends import get_backend
-from repro.arith.backends.z3backend import Z3_AVAILABLE
-
-_REF = get_backend("reference")
-_MAT = get_backend("matrix")
-
-
-@st.composite
-def cubes(draw):
-    from repro.arith.formula import Atom as _Atom
-
-    drawn = [draw(atoms()) for _ in range(draw(st.integers(1, 5)))]
-    # the smart constructors fold constant atoms to BoolConst; cubes are
-    # conjunctions of real atoms
-    return [a for a in drawn if isinstance(a, _Atom)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(cubes())
-def test_matrix_backend_sat_agrees_with_reference(cube):
-    assert _MAT.cube_is_sat(cube) == _REF.cube_is_sat(cube)
-
-
-@settings(max_examples=100, deadline=None)
-@given(cubes())
-def test_matrix_backend_projection_agrees_with_reference(cube):
-    try:
-        expected = frozenset(_REF.project_cube(cube, keep={"x"}))
-    except _fm.Unsat:
-        with __import__("pytest").raises(_fm.Unsat):
-            _MAT.project_cube(cube, keep={"x"})
-        return
-    assert frozenset(_MAT.project_cube(cube, keep={"x"})) == expected
-
-
-if Z3_AVAILABLE:
-
-    @settings(max_examples=100, deadline=None)
-    @given(cubes())
-    def test_z3_backend_obeys_one_sided_law(cube):
-        fm_sat = _REF.cube_is_sat(cube)
-        int_sat = get_backend("z3").cube_is_sat(cube)
-        if not fm_sat:
-            assert not int_sat, (
-                "fm relaxation answered UNSAT on a cube with an integer "
-                f"model: {cube!r}"
-            )
-        # And on the exact unit-coefficient fragment the grid agrees too:
-        if int_sat:
-            assert fm_sat

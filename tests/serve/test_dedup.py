@@ -6,8 +6,7 @@ import asyncio
 from repro.lang.parser import parse_program
 from repro.serve.dedup import CachedResponse, DedupTable, request_fingerprint
 
-KNOBS = {"max_iter": 8, "time_budget": 15.0, "backend": None,
-         "preanalysis": False, "validate": True}
+KNOBS = {"max_iter": 8, "time_budget": 15.0, "validate": True}
 
 SRC = """
 int dec(int n) { if (n <= 0) { return 0; } else { return dec(n - 1); } }

@@ -130,8 +130,7 @@ class TestAnalyzeST:
 class TestFingerprints:
     def test_language_knob_separates_request_fingerprints(self):
         program = parse_source(RETRY_ST, language="st")
-        base = {"max_iter": 8, "time_budget": 15.0, "backend": None,
-                "preanalysis": False, "validate": True}
+        base = {"max_iter": 8, "time_budget": 15.0, "validate": True}
         native = request_fingerprint(program, dict(base,
                                                    language="native"))
         st = request_fingerprint(program, dict(base, language="st"))

@@ -20,21 +20,16 @@ class TestValid:
             "language": "native",  # null normalizes to the default
             "max_iter": 8,
             "time_budget": 15.0,
-            "backend": None,
-            "preanalysis": False,
             "validate": True,
         }
 
     def test_explicit_knobs_pass_through(self):
         params, errors = validate_analyze_request({
-            "source": SRC, "max_iter": 3, "time_budget": 2,
-            "backend": "matrix", "preanalysis": True, "validate": False,
+            "source": SRC, "max_iter": 3, "time_budget": 2, "validate": False,
         })
         assert errors == []
         assert params["max_iter"] == 3
         assert params["time_budget"] == 2.0  # coerced to float
-        assert params["backend"] == "matrix"
-        assert params["preanalysis"] is True
         assert params["validate"] is False
 
 
@@ -88,12 +83,20 @@ class TestInvalid:
         assert params is None
         assert errors == ["unknown field(s): bogus, extra"]
 
-    def test_all_errors_reported_at_once(self):
+    def test_removed_knobs_are_unknown_fields(self):
+        # the engine and pre-analysis are no longer selectable
         params, errors = validate_analyze_request(
-            {"max_iter": 0, "backend": 7, "validate": "yes"}
+            {"source": SRC, "backend": "matrix", "preanalysis": True}
         )
         assert params is None
-        assert len(errors) >= 4  # source, max_iter, backend, validate
+        assert errors == ["unknown field(s): backend, preanalysis"]
+
+    def test_all_errors_reported_at_once(self):
+        params, errors = validate_analyze_request(
+            {"max_iter": 0, "bogus": 7, "validate": "yes"}
+        )
+        assert params is None
+        assert len(errors) >= 4  # bogus, source, max_iter, validate
 
 
 class TestPayloads:

@@ -137,9 +137,12 @@ class TestRoutes:
                 assert any("unexpected character" in d
                            for d in payload["diagnostics"])
 
-                status, _, body = await analyze(port, MICRO, backend="nope")
+                # the removed engine knob is an unknown field like any other
+                status, _, body = await analyze(port, MICRO, backend="matrix")
                 assert status == 400
-                assert json.loads(body)["error"] == "unknown-backend"
+                payload = json.loads(body)
+                assert payload["error"] == "invalid-request"
+                assert payload["diagnostics"] == ["unknown field(s): backend"]
 
                 status, _, body = await request(port, "POST", "/analyze")
                 assert status == 400  # empty body is not JSON
@@ -290,8 +293,7 @@ class TestQueue:
             try:
                 program = parse_program(MICRO)
                 knobs = {"language": "native", "max_iter": 8,
-                         "time_budget": 15.0, "backend": None,
-                         "preanalysis": False, "validate": True}
+                         "time_budget": 15.0, "validate": True}
                 fingerprint = request_fingerprint(program, knobs)
                 service.dedup.begin(fingerprint)
                 service._pending = 1

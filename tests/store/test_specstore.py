@@ -132,7 +132,7 @@ class TestMaintenance:
 
 class TestTmpCleanup:
     """Satellite bugfix: the atomic-write protocol must not litter
-    ``.{key}.{pid}.tmp`` files -- not on write failures, and crash
+    ``.{key}.{pid}.{tid}.tmp`` files -- not on write failures, and crash
     droppings from dead processes are swept at store open."""
 
     KEY = "ef" * 32
@@ -182,7 +182,7 @@ class TestTmpCleanup:
         proc.wait()
         orphan_dir = store.root / "objects" / self.KEY[:2]
         orphan_dir.mkdir(parents=True, exist_ok=True)
-        orphan = orphan_dir / f".{self.KEY}.{proc.pid}.tmp"
+        orphan = orphan_dir / f".{self.KEY}.{proc.pid}.12345.tmp"
         orphan.write_bytes(b"half-written crash dropping")
 
         reopened = SpecStore(store.root)
@@ -225,3 +225,38 @@ class TestTmpCleanup:
         assert self._tmp_files(store) == []
         loaded, rejected = store.load(self.KEY)
         assert loaded is not None and not rejected
+
+    def test_threads_saving_one_key_do_not_collide(self, store):
+        """Daemon workers are threads of one process: each writer needs
+        its own tmp file, or one thread's rename takes the other's file
+        away (FileNotFoundError)."""
+        import sys
+        import threading
+
+        specs = _cold_specs()
+        failures = []
+        start = threading.Barrier(8)
+
+        def writer():
+            start.wait()
+            try:
+                for _ in range(50):
+                    store.save(self.KEY, specs)
+            except Exception as exc:  # relayed to the assertion below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave writers between bytecodes
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        loaded, rejected = store.load(self.KEY)
+        assert loaded is not None and not rejected
+        assert self._tmp_files(store) == []
