@@ -1,5 +1,5 @@
 """Command-line harness:
-``python -m repro.bench {fig10,fig11,st,analyze,corpus}``.
+``python -m repro.bench {fig10,fig11,analyze,corpus}``.
 
 ``corpus`` runs the ground-truth corpus harness (``docs/corpus.md``):
 ``--generate N --seed S`` sweeps N seeded known-verdict programs from
@@ -11,11 +11,6 @@ registry and the labeled ST controllers) are scored.  Prints a per-class
 precision/recall/confusion table and exits nonzero on any soundness
 violation or oracle disagreement.  ``--inject-flip ID`` deliberately
 flips one ground-truth label as a harness self-test.
-
-``st`` checks the labeled IEC 61131-3 Structured Text controller corpus
-(``examples/st_controllers/``, parsed through the ``st`` frontend) one
-row per program against ground truth, and exits nonzero on any verdict
-mismatch -- the CLI half of the frontend smoke job.
 
 ``analyze FILE...`` runs the inference on arbitrary source files: the
 frontend is sniffed from each file's extension (``.st``/``.iecst`` ->
@@ -45,7 +40,7 @@ def main() -> None:
         description="Regenerate the paper's evaluation tables.",
     )
     parser.add_argument(
-        "table", choices=["fig10", "fig11", "st", "analyze", "corpus"]
+        "table", choices=["fig10", "fig11", "analyze", "corpus"]
     )
     parser.add_argument(
         "paths", nargs="*", metavar="FILE",
@@ -127,8 +122,6 @@ def main() -> None:
             "--generate/--seed/--dir/--fuel/--inject-flip only apply to "
             "the 'corpus' command"
         )
-    if args.table == "st" and args.cold:
-        parser.error("'st' takes no --cold")
     if args.cold and not args.store:
         parser.error("--cold requires --store DIR")
     if args.cold:
@@ -137,13 +130,6 @@ def main() -> None:
         SpecStore(args.store).wipe()
     if args.table == "corpus":
         sys.exit(_corpus(args, parser))
-    if args.table == "st":
-        from repro.bench.reporting import st_table
-
-        table = st_table(timeout=args.timeout, jobs=args.jobs,
-                         store=args.store)
-        print(table)
-        sys.exit(0 if "all verdicts match" in table else 1)
     render = fig10_table if args.table == "fig10" else fig11_table
     print(render(timeout=args.timeout, jobs=args.jobs, store=args.store))
 

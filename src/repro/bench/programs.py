@@ -33,7 +33,7 @@ from repro.seplog.heap import HeapSpec, PredInst, SymHeap
 CATEGORIES = ("crafted", "crafted-lit", "numeric", "memory-alloca")
 
 #: Category of the IEC 61131-3 Structured Text example controllers
-#: (``examples/st_controllers/``), surfaced via ``python -m repro.bench st``.
+#: (``examples/st_controllers/``), scored by ``python -m repro.bench corpus``.
 ST_CATEGORY = "st-controllers"
 
 
@@ -646,8 +646,8 @@ void main(int n) {
 # st-controllers -- IEC 61131-3 Structured Text scan-cycle controllers
 # (examples/st_controllers/*.st, analyzed through the 'st' frontend; see
 # docs/frontends.md).  Deliberately NOT in CATEGORIES: the fig10/fig11
-# paper tables stay exactly as published, and this corpus gets its own
-# `python -m repro.bench st` table instead.
+# paper tables stay exactly as published, and this corpus is scored by
+# `python -m repro.bench corpus --dir examples/st_controllers` instead.
 # ---------------------------------------------------------------------------
 
 _ST_DIR = _pathlib.Path(__file__).resolve().parents[3] / "examples" / "st_controllers"

@@ -28,7 +28,6 @@ from repro.bench.programs import (
     BenchProgram,
     CATEGORIES,
     all_programs,
-    st_programs,
 )
 from repro.bench.runner import (
     BenchOutcome,
@@ -37,34 +36,6 @@ from repro.bench.runner import (
     tally,
     tally_solver_stats,
 )
-
-
-class _HipWrapper:
-    """Adapter giving HipTNT+ the same analyze(program) interface.
-
-    *name* distinguishes the cold and warm sweeps in store-enabled
-    tables; *store* (a directory path, picklable) is forwarded to the
-    wrapped :class:`~repro.bench.runner.HipTNTPlus`.
-    """
-
-    def __init__(self, name: str = "HIPTNT+",
-                 store: Optional[str] = None) -> None:
-        self.name = name
-        self._main: Optional[str] = None
-        self._store = store
-        self.last_stats = None  # forwarded from the wrapped tool
-
-    def bind(self, main: str) -> "_HipWrapper":
-        self._main = main
-        return self
-
-    def analyze(self, program):
-        assert self._main is not None
-        tool = HipTNTPlus(self._main, store=self._store)
-        try:
-            return tool.analyze(program)
-        finally:
-            self.last_stats = tool.last_stats
 
 
 _FIG10_TOOLS = ("AProVE-like", "ULTIMATE-like", "HIPTNT+")
@@ -89,7 +60,8 @@ def _make_tool(name: str, main: str, store: Optional[str] = None):
     if name == "T2-like":
         return T2LikeAnalyzer()
     if name in ("HIPTNT+", HIP_WARM):
-        return _HipWrapper(name, store=store).bind(main)
+        # the warm sweep's row label is its results key, not the tool name
+        return HipTNTPlus(main, store=store)
     raise KeyError(name)
 
 
@@ -204,63 +176,6 @@ def _solver_summary(outcomes: List[BenchOutcome]) -> str:
             f"; pre: {s['pre_quick']} quick / {s['pre_seeded']} seeded"
         )
     return line
-
-
-def run_st(
-    timeout: float = 60.0,
-    jobs: int = 1,
-    store: Optional[str] = None,
-) -> List[BenchOutcome]:
-    """HIPTNT+ outcomes over the ST controller corpus, in corpus order.
-
-    The programs come from ``examples/st_controllers/`` and are parsed
-    through the ``st`` frontend (``BenchProgram.language``); the sweep
-    itself is the plain HIPTNT+ configuration of the fig tables.
-    """
-    pairs = [
-        (_HipWrapper("HIPTNT+", store=store).bind(bench.main), bench)
-        for bench in st_programs()
-    ]
-    return run_tools_sharded(pairs, timeout=timeout, jobs=jobs)
-
-
-def st_table(
-    timeout: float = 60.0,
-    jobs: int = 1,
-    store: Optional[str] = None,
-) -> str:
-    """The labeled ST controller corpus as a per-program table.
-
-    Unlike the aggregated fig tables this is a ground-truth check, one
-    row per controller: expected vs inferred verdict and an ``ok``
-    column, with a match-count footer (``matched k/n``).  Used by the
-    frontend smoke CI job; callers can grep the footer for
-    ``all verdicts match``.
-    """
-    corpus = st_programs()
-    outcomes = run_st(timeout=timeout, jobs=jobs, store=store)
-    lines = [
-        f"{'Program':<16}{'Entry':<12}{'Expected':>9}{'Got':>5}{'Time':>8}  ok",
-        "-" * 56,
-    ]
-    matched = 0
-    for bench, outcome in zip(corpus, outcomes):
-        got = "T/O" if outcome.timed_out else str(outcome.verdict)
-        ok = got == str(bench.expected)
-        matched += ok
-        lines.append(
-            f"{bench.name:<16}{bench.main:<12}{str(bench.expected):>9}"
-            f"{got:>5}{outcome.seconds:>8.2f}  {'yes' if ok else 'NO'}"
-        )
-    verdict = (
-        "all verdicts match ground truth"
-        if matched == len(corpus)
-        else "VERDICT MISMATCH against ground truth"
-    )
-    lines.append(
-        f"  ↳ st-controllers: matched {matched}/{len(corpus)}; {verdict}"
-    )
-    return "\n".join(lines)
 
 
 def run_fig11(

@@ -169,10 +169,6 @@ def run_with_timeout(fn, seconds: float):
     return _with_timeout_sigalrm(fn, seconds)
 
 
-#: Historical private alias (the public name is :func:`run_with_timeout`).
-_with_timeout = run_with_timeout
-
-
 def _with_timeout_sigalrm(fn, seconds: float):
     # ``fired`` records that the budget expired even when the raised
     # AnalysisTimeout gets swallowed inside *fn* (e.g. by a ``finally`` /
@@ -302,7 +298,7 @@ def run_tool(
     gc.disable()
     try:
         if enforce_timeout:
-            verdict = _with_timeout(lambda: tool.analyze(program), timeout)
+            verdict = run_with_timeout(lambda: tool.analyze(program), timeout)
         else:
             verdict = tool.analyze(program)
     except AnalysisTimeout:

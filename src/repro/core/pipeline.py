@@ -10,6 +10,11 @@ For each call-graph SCC (callees first -- rule [TNT-INF]):
    summaries, which subsequent (caller) groups consume -- this is the
    modularity/reuse claim of the paper.
 
+:func:`resolve_scc` is that per-group step, tried cheapest rung first
+(bodyless group, pre-analysis certificate, spec-store hit, full
+analysis); :func:`infer_program` runs it over the SCCs in-process or,
+with ``jobs > 1``, through the wave loop of :mod:`repro.core.scheduler`.
+
 Source programs first go through :func:`prepare_program` (validation,
 the interval pre-analysis and desugaring); programs containing heap
 statements are then numerically abstracted by :mod:`repro.seplog`
@@ -28,7 +33,7 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, TYPE_CHECKING, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, TYPE_CHECKING, Union
 
 from repro.arith.context import SolverContext, SolverStats
 from repro.arith.solver import is_sat
@@ -36,12 +41,15 @@ from repro.core.assumptions import filter_post, filter_trivial
 from repro.core.predicates import Loop, MayLoop, Term
 from repro.core.solver import TNTSolver
 from repro.core.specs import CaseSpec, DefStore
-from repro.core.verifier import MethodAssumptions, Verifier, VerifierError
-from repro.lang import desugar_program, method_sccs, parse_program
+from repro.core.verifier import MethodAssumptions, Verifier
+from repro.lang import desugar_program, method_sccs
 from repro.lang.ast import Program
+from repro.lang.callgraph import scc_dependencies
 from repro.lang.desugar import LoopOrigin
 
 if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import Future
+
     from repro.analysis.prefacts import PreFacts
     from repro.store.specstore import SpecStore
 
@@ -100,11 +108,11 @@ class InferenceResult:
 
     program: Program
     specs: Dict[str, CaseSpec]
-    store: DefStore
     solver_stats: Optional[SolverStats] = None
     # per-method solver context (the SCC context the method was resolved
     # with), so post-hoc queries such as classification reuse warm caches
-    # and are counted in solver_stats
+    # and are counted in solver_stats; SCCs analysed in a pool worker
+    # have none and classify against the default context
     contexts: Optional[Dict[str, SolverContext]] = None
 
     def verdict(self, method: str) -> Verdict:
@@ -144,19 +152,21 @@ def analyze_scc_group(
     program: Program,
     scc: List[str],
     solved: Dict[str, CaseSpec],
-    store: DefStore,
+    key: Optional[str],
+    spec_store: Optional["SpecStore"],
     max_iter: int,
     time_budget: float,
     ctx: SolverContext,
 ) -> Dict[str, CaseSpec]:
-    """Resolve one call-graph SCC into per-method case summaries.
+    """The full analysis of one call-graph SCC: the last rung of
+    :func:`resolve_scc`.
 
-    This is the [TNT-INF] body shared by the sequential driver below and
-    the parallel wave scheduler (:mod:`repro.core.scheduler`): it reads
-    the callee summaries it needs from *solved*, works inside *store* and
-    *ctx*, and returns the group's summaries in group-method order without
-    mutating *solved* -- the caller decides how results flow back (direct
-    dict update here; a pipe from a worker process in the scheduler).
+    Reads the callee summaries it needs from *solved*, builds the group's
+    definitions in a fresh :class:`DefStore` inside *ctx*, and returns
+    the group's summaries in group-method order without mutating
+    *solved*.  With a *spec_store* the summaries are written back under
+    *key*.  Runs inline with ``jobs=1`` and in a pool worker
+    (:mod:`repro.core.scheduler`) otherwise.
     """
     group_methods = [
         program.methods[name]
@@ -173,6 +183,7 @@ def analyze_scc_group(
     pairs = {
         m.name: f"U0@{m.name}" for m in group_methods
     }
+    store = DefStore()
     for m in group_methods:
         store.register_root(pairs[m.name], tuple(m.param_names))
     verifier = Verifier(program, pairs=pairs, solved=solved, ctx=ctx)
@@ -198,6 +209,8 @@ def analyze_scc_group(
             pairs[m.name], m.name, tuple(m.param_names),
             context=requires, ctx=ctx,
         )
+    if spec_store is not None:
+        spec_store.save(key, specs)
     return specs
 
 
@@ -215,7 +228,7 @@ def lookup_cached_specs(
     that does not match the fingerprint's SCC -- additionally count as
     ``stats.store_invalidations`` and degrade to a miss, so a damaged
     store can slow an analysis down but never change its answer.
-    Shared by the sequential driver below and the parallel scheduler.
+    A rung of :func:`resolve_scc`.
     """
     cached, rejected = spec_store.load(key)
     if rejected:
@@ -244,8 +257,7 @@ def prepare_program(
     attach ranking hints and record quick verdicts
     (:mod:`repro.analysis.prefacts`).  The returned ``desugared`` program
     is what the pipeline analyzes.  With *stats*, seeded contracts are
-    counted in ``stats.pre_seeded``.  Shared by :func:`infer_program` and
-    the parallel scheduler.
+    counted in ``stats.pre_seeded``.
     """
     # local imports: repro.analysis imports the core; looking validate_program
     # up at call time also lets instrumentation wrap the module attribute
@@ -276,14 +288,13 @@ def quick_scc_specs(
     name: str,
     prefacts,
     ctx: SolverContext,
-    stats: SolverStats,
 ) -> Optional[Dict[str, CaseSpec]]:
     """Resolve a singleton SCC from its pre-analysis quick verdict.
 
     Returns ``None`` when the method has no certificate (or its
     precondition voids it) -- the caller falls back to the store and the
-    full analysis.  Accounted in ``stats.pre_quick``; shared by the
-    sequential driver and the parallel scheduler.
+    full analysis.  Accounted in ``ctx.stats.pre_quick``; a rung of
+    :func:`resolve_scc`.
     """
     verdict = prefacts.quick.get(name)
     if verdict is None:
@@ -293,8 +304,50 @@ def quick_scc_specs(
     spec = build_quick_spec(program.methods[name], verdict, ctx)
     if spec is None:
         return None
-    stats.pre_quick += 1
+    ctx.stats.pre_quick += 1
     return {name: spec}
+
+
+def resolve_scc(
+    program: Program,
+    scc: List[str],
+    key: Optional[str],
+    solved: Dict[str, CaseSpec],
+    prefacts: Optional["PreFacts"],
+    spec_store: Optional["SpecStore"],
+    max_iter: int,
+    time_budget: float,
+    ctx: SolverContext,
+    dispatch: Optional[Callable[[], "Future"]] = None,
+) -> Union[Dict[str, CaseSpec], "Future"]:
+    """Resolve one call-graph SCC: the per-group step of [TNT-INF].
+
+    The ladder, cheapest rung first: a group without bodies has nothing
+    to summarise; a singleton with a pre-analysis certificate resolves
+    from it (:func:`quick_scc_specs`); a spec-store hit replays the
+    stored summaries (:func:`lookup_cached_specs`); anything else gets
+    the full analysis (:func:`analyze_scc_group`) in *ctx*, which is
+    fresh per SCC.  With ``jobs > 1`` the wave loop
+    (:func:`repro.core.scheduler.run_waves`) passes *dispatch*: the last
+    rung then runs in a pool worker, and the future that *dispatch*
+    returns stands in for the summaries.
+    """
+    body_methods = [n for n in scc if program.methods[n].body is not None]
+    if not body_methods:
+        return {}
+    if prefacts is not None and len(body_methods) == 1:
+        specs = quick_scc_specs(program, body_methods[0], prefacts, ctx)
+        if specs is not None:
+            return specs
+    if spec_store is not None:
+        specs = lookup_cached_specs(spec_store, key, body_methods, ctx.stats)
+        if specs is not None:
+            return specs
+    if dispatch is not None:
+        return dispatch()
+    return analyze_scc_group(
+        program, scc, solved, key, spec_store, max_iter, time_budget, ctx
+    )
 
 
 def infer_program(
@@ -302,14 +355,17 @@ def infer_program(
     max_iter: int = 8,
     desugared: bool = False,
     time_budget: float = 30.0,
-    solver_ctx: Optional[SolverContext] = None,
     jobs: int = 1,
     store: StoreArg = None,
     validate: bool = True,
-    isolate_names: bool = False,
     language: str = "native",
 ) -> InferenceResult:
     """Infer termination/non-termination summaries for every method.
+
+    The whole call runs inside :func:`fresh_name_scope`, so it neither
+    reads nor advances the caller's fresh-name counters: the same program
+    yields the same generated names -- hence the same specs and store
+    fingerprints -- on every call, in any thread.
 
     Parameters
     ----------
@@ -330,18 +386,14 @@ def infer_program(
         Wall-clock budget (seconds) for each SCC's TNT solving loop; on
         expiry the group degrades to weaker (``MayLoop``) cases instead
         of raising.
-    solver_ctx:
-        Share one caller-owned :class:`~repro.arith.context.SolverContext`
-        across every group (and the heap abstraction).  Default: each
-        SCC gets its own fresh context, all feeding one program-wide
-        :class:`~repro.arith.context.SolverStats`.
     jobs:
-        ``1`` (default) analyzes SCCs sequentially, callees first.
-        ``jobs > 1`` dispatches independent SCCs to that many worker
-        processes via the wave scheduler
-        (:func:`repro.core.scheduler.infer_program_parallel`);
-        ``jobs=0`` means one worker per CPU.  Requires ``solver_ctx``
-        to be ``None`` -- contexts cannot cross process boundaries.
+        ``1`` (default) analyzes SCCs in-process, callees first.
+        ``jobs > 1`` runs the full analysis of independent SCCs in that
+        many worker processes (:mod:`repro.core.scheduler`); ``jobs=0``
+        means one worker per CPU.  Every SCC is resolved by the same
+        :func:`resolve_scc` either way, each with a fresh
+        :class:`~repro.arith.context.SolverContext` feeding one
+        program-wide :class:`~repro.arith.context.SolverStats`.
     store:
         ``None`` (default) recomputes everything.  A directory path or
         :class:`repro.store.specstore.SpecStore` enables the persistent
@@ -367,105 +419,70 @@ def infer_program(
         summaries of lowered programs never alias native ones.  The
         default keeps native keys byte-identical to the pre-frontend
         scheme.
-    isolate_names:
-        Run the whole inference inside :func:`fresh_name_scope`: private
-        zero-based fresh-name counters, local to the calling thread/task.
-        This makes the call reentrant and safely dispatchable to worker
-        threads (the analysis daemon, :mod:`repro.serve`, sets it): no
-        process-global counter state is read or written, and the same
-        source yields the same generated names -- hence the same store
-        fingerprints -- on every call, with no cold-start reset.  The
-        default (``False``) preserves the historical process-global
-        numbering the bench cold-start protocol manages explicitly.
 
     Returns
     -------
     InferenceResult
-        Summaries in callee-first order plus program-wide solver
-        statistics.  Caveats: with ``jobs > 1`` the result carries
-        ``contexts=None`` and an empty definition store; with a spec
-        store, SCCs resolved from cache have no entries in
-        ``result.store`` either (their definition trees were never
-        rebuilt) -- callers that walk ``result.store`` must run cold
-        and sequential.
+        Summaries in callee-first order (for any ``jobs``) plus
+        program-wide solver statistics.
     """
-    from repro.core.scheduler import resolve_jobs
-
-    if isolate_names:
-        with fresh_name_scope():
-            return infer_program(
-                program, max_iter=max_iter, desugared=desugared,
-                time_budget=time_budget, solver_ctx=solver_ctx, jobs=jobs,
-                store=store, validate=validate, language=language,
-            )
-
-    jobs = resolve_jobs(jobs)
-    if jobs > 1 and solver_ctx is None:
-        from repro.core.scheduler import infer_program_parallel
-
-        return infer_program_parallel(
-            program, jobs=jobs, max_iter=max_iter, desugared=desugared,
-            time_budget=time_budget, store=store, validate=validate,
-            language=language,
-        )
-
+    from repro.core.scheduler import resolve_jobs, run_waves
     from repro.seplog.abstraction import abstract_program  # local: optional dep
     from repro.store.specstore import as_store
 
-    stats = solver_ctx.stats if solver_ctx is not None else SolverStats()
-
-    def group_ctx() -> SolverContext:
-        if solver_ctx is not None:
-            return solver_ctx
-        return SolverContext(stats=stats)
-
-    prefacts = None if desugared else prepare_program(program, validate, stats)
-    if prefacts is not None:
-        program = prefacts.desugared
-    program = abstract_program(program, ctx=group_ctx())
+    jobs = resolve_jobs(jobs)
     spec_store = as_store(store)
-    if spec_store is not None:
-        from repro.store.fingerprint import program_store_keys
+    with fresh_name_scope():
+        stats = SolverStats()
+        prefacts = None if desugared else prepare_program(program, validate, stats)
+        if prefacts is not None:
+            program = prefacts.desugared
+        program = abstract_program(program, ctx=SolverContext(stats=stats))
+        if spec_store is not None:
+            from repro.store.fingerprint import program_store_keys
 
-        sccs, _deps, keys = program_store_keys(
-            program, max_iter, time_budget, language
-        )
-    else:
-        sccs = method_sccs(program)
-        keys = [None] * len(sccs)
-    def_store = DefStore()
-    solved: Dict[str, CaseSpec] = {}
-    contexts: Dict[str, SolverContext] = {}
-    for scc, key in zip(sccs, keys):
-        ctx = group_ctx()
-        body_methods = [
-            n for n in scc if program.methods[n].body is not None
-        ]
-        specs = None
-        if prefacts is not None and len(body_methods) == 1:
-            specs = quick_scc_specs(program, body_methods[0], prefacts, ctx, stats)
-        cacheable = spec_store is not None and bool(body_methods) and specs is None
-        if cacheable:
-            specs = lookup_cached_specs(spec_store, key, body_methods, stats)
-        if specs is None:
-            specs = analyze_scc_group(
-                program, scc, solved, def_store, max_iter, time_budget, ctx
+            sccs, deps, keys = program_store_keys(
+                program, max_iter, time_budget, language
             )
-            if cacheable and specs:
-                spec_store.save(key, specs)
-        for name, spec in specs.items():
-            solved[name] = spec
-            contexts[name] = ctx
+        else:
+            # Only the wave loop reads the dependency sets.
+            sccs, deps = (
+                scc_dependencies(program) if jobs > 1
+                else (method_sccs(program), None)
+            )
+            keys = [None] * len(sccs)
+        solved: Dict[str, CaseSpec] = {}
+        contexts: Dict[str, SolverContext] = {}
+
+        def resolve(i: int, dispatch=None):
+            ctx = SolverContext(stats=stats)
+            specs = resolve_scc(
+                program, sccs[i], keys[i], solved, prefacts, spec_store,
+                max_iter, time_budget, ctx, dispatch,
+            )
+            if isinstance(specs, dict):
+                contexts.update(dict.fromkeys(specs, ctx))
+            return specs
+
+        if jobs == 1:
+            for i in range(len(sccs)):
+                solved.update(resolve(i))
+        else:
+            run_waves(
+                program, sccs, deps, keys, solved, resolve, stats,
+                jobs=jobs, max_iter=max_iter, time_budget=time_budget,
+                spec_store=spec_store,
+            )
+    # Callee-first order, whichever worker finished first.
+    specs = {name: solved[name] for scc in sccs for name in scc if name in solved}
     return InferenceResult(
-        program=program, specs=solved, store=def_store, solver_stats=stats,
-        contexts=contexts,
+        program=program, specs=specs, solver_stats=stats, contexts=contexts,
     )
 
 
 def infer_source(
     source: str, max_iter: int = 8, time_budget: float = 30.0,
-    jobs: int = 1, store: StoreArg = None,
-    validate: bool = True, isolate_names: bool = False,
+    jobs: int = 1, store: StoreArg = None, validate: bool = True,
     language: Optional[str] = None, filename: Optional[str] = None,
 ) -> InferenceResult:
     """Parse, desugar and infer a program given as concrete syntax.
@@ -473,10 +490,9 @@ def infer_source(
     ``language`` selects the source frontend by name (see
     :mod:`repro.lang.frontends`; ``None`` sniffs *filename*'s extension
     when given and otherwise means the ``native`` C-like syntax).
-    ``jobs``, ``store``, ``validate`` and ``isolate_names`` are
-    forwarded to :func:`infer_program` unchanged (parallel SCC analysis;
-    persistent summary cache; lint layer; reentrant thread-dispatchable
-    name scoping)."""
+    ``jobs``, ``store`` and ``validate`` are forwarded to
+    :func:`infer_program` unchanged (parallel SCC analysis; persistent
+    summary cache; lint layer)."""
     from repro.lang.frontends import (
         DEFAULT_LANGUAGE,
         get_frontend,
@@ -489,6 +505,5 @@ def infer_source(
     return infer_program(
         frontend.parse(source, filename=filename),
         max_iter=max_iter, time_budget=time_budget,
-        jobs=jobs, store=store, validate=validate,
-        isolate_names=isolate_names, language=frontend.name,
+        jobs=jobs, store=store, validate=validate, language=frontend.name,
     )

@@ -342,10 +342,10 @@ class Verifier:
             )
         )
 
-def _safe_project(ctx, keep, solver_ctx=None):
+def _safe_project(ctx, keep, solver):
     """Projection with a blow-up fallback: keep the unprojected context
     (it mentions more variables but is equivalent, hence still sound)."""
     try:
-        return resolve(solver_ctx).project(ctx, keep=set(keep))
+        return resolve(solver).project(ctx, keep=set(keep))
     except MemoryError:
         return ctx

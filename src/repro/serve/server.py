@@ -6,8 +6,7 @@ Architecture (see ``docs/serve.md`` for the full picture)::
                          |  leader only, bounded pool
                          v
                   ThreadPoolExecutor workers
-                         |  infer_program(isolate_names=True,
-                         |                store=<shared SpecStore>)
+                         |  infer_program(store=<shared SpecStore>)
                          v
                   process-resident caches (interned formulas, DNF/FM
                   memos) + on-disk spec store
@@ -381,8 +380,9 @@ class AnalysisService:
         """Worker-thread body: the one call that does real work.
 
         Pure with respect to service state: everything it touches is
-        either request-local (via ``isolate_names``) or a process-wide
-        cache designed for concurrent readers.  Returns
+        either request-local (``infer_program`` scopes its fresh names to
+        the call) or a process-wide cache designed for concurrent
+        readers.  Returns
         ``(status, payload, cacheable, stats_dict, seconds)``."""
         from repro.analysis.diagnostics import ProgramInvalid
         from repro.bench.runner import AnalysisTimeout, run_with_timeout
@@ -397,7 +397,6 @@ class AnalysisService:
                     time_budget=params["time_budget"],
                     store=self._store,
                     validate=params["validate"],
-                    isolate_names=True,
                     language=params["language"],
                 ),
                 self.config.max_analysis_seconds,

@@ -114,9 +114,7 @@ class TestPipelineIntegration:
 @pytest.mark.parallel
 class TestSchedulerIntegration:
     def test_parallel_quick_parity(self):
-        from repro.core.scheduler import infer_program_parallel
-
         seq = infer_program(parse_program(STUCK))
-        par = infer_program_parallel(parse_program(STUCK), jobs=2)
+        par = infer_program(parse_program(STUCK), jobs=2)
         assert par.verdict("main") is seq.verdict("main")
         assert par.solver_stats.pre_quick == seq.solver_stats.pre_quick == 1

@@ -108,15 +108,15 @@ class TestRunner:
 
 class TestTimeoutMachinery:
     def test_nested_timeout_restores_outer_timer(self):
-        """An inner _with_timeout must not clobber an enclosing armed
+        """An inner run_with_timeout must not clobber an enclosing armed
         ITIMER_REAL: the outer budget still fires after the inner scope."""
         import signal
         import time
 
-        from repro.bench.runner import AnalysisTimeout, _with_timeout
+        from repro.bench.runner import AnalysisTimeout, run_with_timeout
 
         def inner_then_spin():
-            _with_timeout(lambda: time.sleep(0.05), 5.0)
+            run_with_timeout(lambda: time.sleep(0.05), 5.0)
             delay, _interval = signal.getitimer(signal.ITIMER_REAL)
             assert delay > 0, "outer timer was clobbered by the nested scope"
             t0 = time.monotonic()
@@ -126,7 +126,7 @@ class TestTimeoutMachinery:
 
         t0 = time.monotonic()
         with pytest.raises(AnalysisTimeout):
-            _with_timeout(inner_then_spin, 0.4)
+            run_with_timeout(inner_then_spin, 0.4)
         assert time.monotonic() - t0 < 5.0
 
     def test_inner_budget_capped_by_outer(self):
@@ -134,7 +134,7 @@ class TestTimeoutMachinery:
         enclosing budget does."""
         import time
 
-        from repro.bench.runner import AnalysisTimeout, _with_timeout
+        from repro.bench.runner import AnalysisTimeout, run_with_timeout
 
         def spin():
             t0 = time.monotonic()
@@ -143,7 +143,7 @@ class TestTimeoutMachinery:
 
         t0 = time.monotonic()
         with pytest.raises(AnalysisTimeout):
-            _with_timeout(lambda: _with_timeout(spin, 60.0), 0.3)
+            run_with_timeout(lambda: run_with_timeout(spin, 60.0), 0.3)
         assert time.monotonic() - t0 < 5.0
 
     def test_off_main_thread_watchdog(self):
@@ -152,17 +152,17 @@ class TestTimeoutMachinery:
         import threading
         import time
 
-        from repro.bench.runner import AnalysisTimeout, _with_timeout
+        from repro.bench.runner import AnalysisTimeout, run_with_timeout
 
         results = {}
 
         def worker():
             try:
-                results["quick"] = _with_timeout(lambda: "done", 5.0)
+                results["quick"] = run_with_timeout(lambda: "done", 5.0)
             except BaseException as exc:  # pragma: no cover - debug aid
                 results["quick"] = exc
             try:
-                _with_timeout(lambda: time.sleep(10.0), 0.2)
+                run_with_timeout(lambda: time.sleep(10.0), 0.2)
                 results["slow"] = "no-timeout"
             except AnalysisTimeout:
                 results["slow"] = "timeout"
@@ -176,7 +176,7 @@ class TestTimeoutMachinery:
     def test_watchdog_relays_exceptions(self):
         import threading
 
-        from repro.bench.runner import _with_timeout
+        from repro.bench.runner import run_with_timeout
 
         results = {}
 
@@ -185,7 +185,7 @@ class TestTimeoutMachinery:
                 raise ValueError("inner failure")
 
             try:
-                _with_timeout(boom, 5.0)
+                run_with_timeout(boom, 5.0)
             except ValueError as exc:
                 results["exc"] = str(exc)
 
@@ -237,7 +237,7 @@ int down(int n) { if (n <= 0) { return 0; } else { return down(n - 1); } }
         def worker():
             try:
                 result = run_with_timeout(
-                    lambda: infer_source(source, isolate_names=True), 60.0
+                    lambda: infer_source(source), 60.0
                 )
                 results["verdict"] = result.verdict("down")
             except BaseException as exc:  # pragma: no cover - debug aid

@@ -12,9 +12,9 @@ from repro.bench.runner import (
     BenchOutcome,
     HipTNTPlus,
     _bench_spec,
-    _with_timeout,
     run_tool,
     run_tools_sharded,
+    run_with_timeout,
 )
 from repro.core.pipeline import Verdict
 
@@ -115,7 +115,7 @@ class TestTimeoutFlagFixes:
 
         t0 = time.monotonic()
         with pytest.raises(AnalysisTimeout):
-            _with_timeout(swallowing, 0.3)
+            run_with_timeout(swallowing, 0.3)
         assert time.monotonic() - t0 < 10.0
 
     def test_handler_restored_when_fn_raises(self):
@@ -125,7 +125,7 @@ class TestTimeoutFlagFixes:
             raise ValueError("analyzer exploded")
 
         with pytest.raises(ValueError):
-            _with_timeout(boom, 5.0)
+            run_with_timeout(boom, 5.0)
         assert signal.getsignal(signal.SIGALRM) is before
         delay, _interval = signal.getitimer(signal.ITIMER_REAL)
         assert delay == 0  # timer fully disarmed
@@ -143,13 +143,13 @@ class TestTimeoutFlagFixes:
             return None
 
         with pytest.raises(AnalysisTimeout):
-            _with_timeout(swallowing, 0.3)
+            run_with_timeout(swallowing, 0.3)
         assert signal.getsignal(signal.SIGALRM) is before
         delay, _interval = signal.getitimer(signal.ITIMER_REAL)
         assert delay == 0
 
     def test_successful_run_unaffected(self):
-        assert _with_timeout(lambda: 41 + 1, 5.0) == 42
+        assert run_with_timeout(lambda: 41 + 1, 5.0) == 42
 
     def test_secondary_error_after_swallowed_timeout_is_timeout(self):
         """If the budget expired, the injected raise was eaten, and some
@@ -165,7 +165,7 @@ class TestTimeoutFlagFixes:
                 raise RuntimeError("cleanup failed on torn-down state")
 
         with pytest.raises(AnalysisTimeout):
-            _with_timeout(swallow_then_explode, 0.3)
+            run_with_timeout(swallow_then_explode, 0.3)
 
     def test_run_tool_classifies_swallowed_timeout(self):
         """End to end: an analyzer whose cleanup swallows the timeout

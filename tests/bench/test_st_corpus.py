@@ -1,9 +1,9 @@
 """The labeled ST controller corpus and its bench wiring.
 
-Covers the bench half of the acceptance criterion: every controller in
-``examples/st_controllers/`` gets its expected verdict both through the
-in-process corpus harness (``st_table``) and through the ``python -m
-repro.bench`` CLI (``st`` and ``analyze`` subcommands)."""
+Every controller in ``examples/st_controllers/`` gets its expected
+verdict both through the in-process corpus harness (``run_corpus`` over
+the directory's ``labels.json``) and through the ``python -m
+repro.bench`` CLI (``corpus --dir`` and ``analyze`` subcommands)."""
 
 import pathlib
 import subprocess
@@ -17,8 +17,9 @@ from repro.bench.programs import (
     all_programs,
     st_programs,
 )
-from repro.bench.reporting import st_table
 from repro.core.pipeline import Verdict, infer_program
+from repro.corpus import DirectoryBenchmark, run_corpus
+from repro.corpus.benchmark import verdict_to_label
 from repro.lang import desugar_program
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -82,19 +83,25 @@ class TestCorpus:
 
 
 class TestHarness:
-    def test_st_table_reports_full_agreement(self):
-        table = st_table(timeout=60.0)
-        assert "matched 5/5" in table
-        assert "all verdicts match ground truth" in table
-        for name in EXPECTED:
-            assert name in table
+    def test_corpus_reports_full_agreement(self):
+        result = run_corpus(DirectoryBenchmark(ST_DIR), timeout=60.0)
+        assert result.ok, result.render()
+        assert "corpus st-controllers: 5 instances" in result.render()
+        # exact agreement, not just soundness: an imprecise UNKNOWN on a
+        # labeled controller is a failure here
+        assert [verdict_to_label(o.verdict) for o in result.outcomes] == [
+            inst.label for inst in result.instances
+        ]
 
 
 class TestCLI:
-    def test_bench_st_exits_zero(self):
-        proc = bench_cli("st", "--timeout", "60", timeout=300)
+    def test_bench_corpus_dir_exits_zero(self):
+        proc = bench_cli(
+            "corpus", "--dir", str(ST_DIR), "--timeout", "60", timeout=300
+        )
         assert proc.returncode == 0, proc.stderr
-        assert "all verdicts match ground truth" in proc.stdout
+        assert "corpus st-controllers: 5 instances" in proc.stdout
+        assert "result: OK (5 instances)" in proc.stdout
 
     def test_analyze_sniffs_st_extension(self):
         proc = bench_cli("analyze", str(ST_DIR / "ramp_up.st"))

@@ -1,4 +1,5 @@
-"""Parallel wave-scheduler tests: jobs=2 must reproduce jobs=1 exactly.
+"""Parallel wave-scheduler tests: ``infer_program(jobs=2)`` must
+reproduce jobs=1 exactly.
 
 The diamond condensation (top -> {left, right} -> base) is the smallest
 shape with a genuinely parallel wave: the two middle SCCs are mutually
@@ -13,7 +14,7 @@ import pytest
 
 from repro.bench.runner import _cold_start
 from repro.core.pipeline import infer_program
-from repro.core.scheduler import infer_program_parallel, resolve_jobs
+from repro.core.scheduler import resolve_jobs
 from repro.lang import parse_program
 
 DIAMOND = """
@@ -117,9 +118,9 @@ class TestOtherShapes:
         assert str(par.verdict("f")) == "Y"
 
     def test_bodyless_scc_completed_inline(self):
-        """An extern-only SCC has nothing to analyze: the scheduler must
-        resolve it inline (no worker round-trip) and still produce the
-        same result set as the sequential path."""
+        """An extern-only SCC has nothing to analyze: the ladder resolves
+        it in the parent (no worker round-trip) and the result set equals
+        the sequential path's."""
         import dataclasses
 
         def with_extern():
@@ -143,7 +144,7 @@ class TestOtherShapes:
 class TestSchedulerPlumbing:
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
-            infer_program_parallel(parse_program(DIAMOND), jobs=0)
+            infer_program(parse_program(DIAMOND), jobs=-1)
 
     def test_resolve_jobs(self):
         import os
@@ -154,18 +155,6 @@ class TestSchedulerPlumbing:
         with pytest.raises(ValueError):
             resolve_jobs(-4)
 
-    def test_caller_owned_context_stays_sequential(self):
-        """jobs>1 with a caller-owned context cannot cross processes; the
-        pipeline falls back to the sequential path sharing that context."""
-        from repro.arith.context import SolverContext
-
-        ctx = SolverContext()
-        result = infer_program(
-            parse_program(MUTUAL), jobs=4, solver_ctx=ctx
-        )
-        assert result.solver_stats is ctx.stats
-        assert ctx.stats.queries > 0
-
     def test_worker_errors_propagate(self):
         """A worker crash must surface in the parent, not hang the wave
         loop."""
@@ -175,6 +164,6 @@ class TestSchedulerPlumbing:
         scheduler._analyze_scc_task = _exploding_task
         try:
             with pytest.raises(RuntimeError, match="worker failure"):
-                infer_program_parallel(parse_program(MUTUAL), jobs=2)
+                infer_program(parse_program(MUTUAL), jobs=2)
         finally:
             scheduler._analyze_scc_task = original
