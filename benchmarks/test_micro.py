@@ -419,3 +419,37 @@ def test_perf_guard_warm_context_fewer_fm_eliminations():
     # The warm run should in fact be answered entirely from the caches.
     assert warm == 0
     assert ctx.stats.hits > 0
+
+
+# ---------------------------------------------------------------------------
+# Tail-program guard: the refutation in front of FM
+# ---------------------------------------------------------------------------
+
+#: FM work-unit ceilings, about twice what the bounds pre-pass plus the
+#: pruned cube enumeration leave (25,711 and 6,615); eager DNF expansion
+#: with FM on every cube did 647,155 and 153,800.
+_TAIL_FM_CEILINGS = (("even-gap", 60_000), ("ackermann-spec", 15_000))
+
+
+@pytest.mark.perf_guard
+@pytest.mark.parametrize("name,ceiling", _TAIL_FM_CEILINGS)
+def test_perf_guard_tail_programs_fm_work(name, ceiling):
+    """The registry's two cube-heavy tail programs answer N at the default
+    budget with bounded FM work, counted deterministically rather than
+    timed.  If the pre-pass stops refuting or the enumeration stops
+    pruning, the work units climb back towards the eager figures and this
+    fails."""
+    from repro.arith import fm
+    from repro.bench.programs import by_name
+    from repro.core.pipeline import Verdict, infer_program
+
+    clear_caches()
+    bench = by_name(name)
+    result = infer_program(bench.program())
+    assert result.verdict(bench.main) is Verdict.NONTERMINATING
+    work = fm.fm_cache_stats()
+    assert result.solver_stats.fm_eliminations <= work["eliminations"]
+    assert work["eliminations"] <= ceiling, (
+        f"{name}: {work['eliminations']} FM work units, ceiling {ceiling}"
+    )
+    assert work["bounds_unsat"] > 0

@@ -25,6 +25,14 @@ to the exact-Fraction Fourier-Motzkin engine, looked up as ``fm.<name>``
 at call time so instrumentation that wraps the module attribute sees
 every call.
 
+Satisfiability and entailment never materialise a DNF product:
+:func:`any_cube_sat` walks the formula's NNF depth first, carries the
+bounds table of the partial cube, and prunes a subtree as soon as two
+opposite bounds in it contradict (the branch-and-prune core of DPLL(T)).
+Every leaf it does reach is the cube eager expansion would build, in the
+same order, and the DNF cap raises on the same formulas.  Projection,
+models and simplification need cube lists and still call :func:`to_dnf`.
+
 The module-level functions in :mod:`repro.arith.solver` remain available
 as a thin facade over a process-wide default context, so existing callers
 keep working unchanged.
@@ -43,6 +51,7 @@ from repro.arith.formula import (
     And,
     Atom,
     BoolConst,
+    DNF_LIMIT,
     Exists,
     FALSE,
     Formula,
@@ -53,6 +62,7 @@ from repro.arith.formula import (
     conj,
     disj,
     neg,
+    nnf_tree,
     to_dnf,
 )
 from repro.arith.lru import LRUCache
@@ -276,23 +286,14 @@ class SolverContext:
         return result
 
     def _raw_sat(self, p: Formula) -> bool:
-        sat = fm.cube_is_sat
         if not self.assumptions():
-            return any(sat(cube) for cube in to_dnf(p))
+            return any_cube_sat(p)
         try:
             acubes = self._assumption_cubes()
         except MemoryError:
             # Product blow-up: degrade to one monolithic conjunction.
-            g = conj(self._assumption_formula(), p)
-            return any(sat(cube) for cube in to_dnf(g))
-        pcubes = to_dnf(p)
-        for ac in acubes:
-            if ac and not sat(ac):
-                continue
-            for pc in pcubes:
-                if sat(list(ac) + pc):
-                    return True
-        return False
+            return any_cube_sat(conj(self._assumption_formula(), p))
+        return any_cube_sat(p, acubes)
 
     def is_unsat(self, p: Formula) -> bool:
         return not self.is_sat(p)
@@ -349,9 +350,7 @@ class SolverContext:
                 goal = conj(
                     antecedent, neg(self._eliminate_quantifiers(consequent))
                 )
-                result = not any(
-                    fm.cube_is_sat(cube) for cube in to_dnf(goal)
-                )
+                result = not any_cube_sat(goal)
         except MemoryError:
             return False
         self._entail.put(key, result)
@@ -514,6 +513,73 @@ class SolverContext:
             "entail": len(self._entail),
             "project": len(self._project),
         }
+
+
+# ---------------------------------------------------------------------------
+# Pruned cube enumeration
+# ---------------------------------------------------------------------------
+
+
+def any_cube_sat(
+    p: Formula,
+    prefixes: Sequence[Sequence[Atom]] = ((),),
+    limit: int = DNF_LIMIT,
+) -> bool:
+    """Whether some cube of *p*, extended by some prefix, is satisfiable.
+
+    The answer, the leaves handed to ``fm.cube_is_sat`` (in order, atom
+    for atom) and the :class:`MemoryError` cap are those of the eager
+
+        for pre in prefixes:
+            if pre and not fm.cube_is_sat(pre): continue
+            if any(fm.cube_is_sat(list(pre) + c) for c in to_dnf(p, limit)):
+                return True
+
+    except that no leaf below a partial cube whose opposite bounds
+    contradict (:func:`repro.arith.fm.add_bound`) is visited: every such
+    leaf contains the contradiction, so ``fm.cube_is_sat`` would refute it
+    before its cache.  A quantified *p* is expanded by :func:`to_dnf`,
+    which renames bound variables with globally fresh names, and its cubes
+    are walked the same way.
+    """
+    if _contains_exists(p):
+        tree = (True, tuple((False, tuple(c)) for c in to_dnf(p, limit)))
+    else:
+        tree = nnf_tree(p, limit)  # raises where to_dnf(p, limit) would
+    for pre in prefixes:
+        if pre and not fm.cube_is_sat(pre):
+            continue
+        if _walk(((False, (*pre, tree)), None), [], {}, []):
+            return True
+    return False
+
+
+def _walk(pending, cube: List[Atom], table: "fm.BoundsTable",
+          trail: list) -> bool:
+    """Depth-first over the conjunction of the *pending*
+    :func:`~repro.arith.formula.nnf_tree` nodes (a ``(node, rest)`` linked
+    list) extending *cube*: Or nodes branch in argument order, And nodes
+    expand in place, and a leaf goes to ``fm.cube_is_sat``.  *cube* and
+    *table* are restored on return."""
+    cube_mark, trail_mark = len(cube), len(trail)
+    try:
+        while pending is not None:
+            node, pending = pending
+            if type(node) is Atom:
+                cube.append(node)
+                if fm.add_bound(table, node, trail):
+                    return False
+            elif node[0]:
+                return any(
+                    _walk((a, pending), cube, table, trail) for a in node[1]
+                )
+            else:
+                for a in reversed(node[1]):
+                    pending = (a, pending)
+        return fm.cube_is_sat(list(cube))
+    finally:
+        del cube[cube_mark:]
+        fm.undo_bounds(table, trail, trail_mark)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ procedure is exact on the unit-coefficient (difference-bound-like) fragment
 that dominates the paper's verification conditions.  In general it remains a
 *sound* UNSAT test for integer constraints (rational UNSAT implies integer
 UNSAT).
+
+:func:`cube_is_sat` first runs a linear bounds pre-pass: each atom bounds
+one linear term from above, below or both (:attr:`repro.arith.formula.Atom.bound`),
+and two opposite bounds on one term that cannot both hold refute the cube
+before the memo is probed and FM runs.  The pre-pass only ever answers
+UNSAT, and only for rationally UNSAT cubes, which FM refutes too, so it
+never changes an answer.  See ``docs/solver.md``.
 """
 
 from __future__ import annotations
@@ -252,17 +259,82 @@ def project_cube(atoms: Sequence[Atom], keep: Optional[Set[str]] = None,
     return _dedup(eq_kept + ineqs)
 
 
+#: ``direction -> (lower, lower strict, upper, upper strict)``: the
+#: tightest bounds a partial cube puts on each linear term (``None`` for
+#: an absent side).
+BoundsTable = Dict[LinExpr, Tuple[object, bool, object, bool]]
+
+_NO_BOUNDS = (None, False, None, False)
+
+
+def add_bound(
+    table: BoundsTable, atom: Atom, trail: Optional[list] = None
+) -> bool:
+    """Tighten *table* by *atom*'s bound; ``True`` when the table has become
+    contradictory: some term's lower bound exceeds its upper bound, or
+    equals it while either side is strict.
+
+    The previous entry is pushed on *trail* (when given) so a depth-first
+    caller can undo the update with :func:`undo_bounds`."""
+    bound = atom.bound
+    if bound is None:
+        return False
+    direction, value, strict, upper, lower = bound
+    old = table.get(direction, _NO_BOUNDS)
+    lo, lo_strict, up, up_strict = old
+    if lower and (lo is None or value > lo or (value == lo and strict)):
+        lo, lo_strict = value, strict
+    if upper and (up is None or value < up or (value == up and strict)):
+        up, up_strict = value, strict
+    if trail is not None:
+        trail.append((direction, old))
+    table[direction] = (lo, lo_strict, up, up_strict)
+    return (
+        lo is not None
+        and up is not None
+        and (lo > up or (lo == up and (lo_strict or up_strict)))
+    )
+
+
+def undo_bounds(table: BoundsTable, trail: list, mark: int) -> None:
+    """Roll *table* back to its state when *trail* had length *mark*."""
+    while len(trail) > mark:
+        direction, old = trail.pop()
+        table[direction] = old
+
+
+def bounds_refute(atoms: Iterable[Atom]) -> bool:
+    """``True`` when two opposite bounds on one linear term contradict.
+
+    A refuted cube is rationally UNSAT, so :func:`_cube_is_sat` (which
+    decides every rationally UNSAT cube UNSAT) would answer ``False`` too;
+    ``False`` here answers nothing."""
+    table: BoundsTable = {}
+    return any(add_bound(table, a) for a in atoms)
+
+
 _CUBE_SAT_CACHE = LRUCache(500_000)
+
+#: Cubes :func:`cube_is_sat` refuted by :func:`bounds_refute` since the
+#: last :func:`clear_fm_caches` (never cached, never counted as misses).
+_BOUNDS_UNSAT = 0
 
 
 def cube_is_sat(atoms: Sequence[Atom]) -> bool:
     """Satisfiability of a conjunction of atoms (integer-tightened FM).
 
-    Results are memoised on the atom set in an LRU-bounded cache -- the
-    inference re-checks the same contexts many times across specialisation
-    iterations, and under memory pressure the least-recently-used entries
-    are evicted instead of the cache silently refusing new entries.
+    Opposite bounds on one linear term are checked first
+    (:func:`bounds_refute`, linear in the cube); a cube refuted there never
+    reaches the cache or FM.  Other results are memoised on the atom set in
+    an LRU-bounded cache -- the inference re-checks the same contexts many
+    times across specialisation iterations, and under memory pressure the
+    least-recently-used entries are evicted instead of the cache silently
+    refusing new entries.
     """
+    global _BOUNDS_UNSAT
+    if bounds_refute(atoms):
+        _BOUNDS_UNSAT += 1
+        return False
     key = frozenset(atoms)
     cached = _CUBE_SAT_CACHE.get(key)
     if cached is not None:
@@ -274,17 +346,19 @@ def cube_is_sat(atoms: Sequence[Atom]) -> bool:
 
 def clear_fm_caches() -> None:
     """Drop the cube-satisfiability cache and reset all FM statistics."""
-    global _ELIMINATIONS
+    global _ELIMINATIONS, _BOUNDS_UNSAT
     _CUBE_SAT_CACHE.clear(reset_evictions=True)
     _ELIMINATIONS = 0
+    _BOUNDS_UNSAT = 0
 
 
 def fm_cache_stats() -> Dict[str, int]:
-    """Size/eviction/elimination counters of the FM layer."""
+    """Size/eviction/elimination/pre-pass counters of the FM layer."""
     return {
         "size": len(_CUBE_SAT_CACHE),
         "evictions": _CUBE_SAT_CACHE.evictions,
         "eliminations": _ELIMINATIONS,
+        "bounds_unsat": _BOUNDS_UNSAT,
     }
 
 

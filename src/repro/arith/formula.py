@@ -31,8 +31,11 @@ from __future__ import annotations
 import contextvars
 import enum
 import itertools
+import math
 import weakref
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.arith.lru import LRUCache
 from repro.arith.terms import Coeff, LinExpr, to_linexpr
@@ -147,7 +150,7 @@ FALSE = BoolConst(False)
 class Atom(Formula):
     """A normalised linear atom ``expr <= 0`` or ``expr == 0`` (interned)."""
 
-    __slots__ = ("expr", "rel", "_hash", "_uid", "__weakref__")
+    __slots__ = ("expr", "rel", "_hash", "_uid", "_bound", "__weakref__")
 
     def __new__(cls, expr: LinExpr, rel: Rel):
         key = ("atom", expr, rel)
@@ -159,11 +162,30 @@ class Atom(Formula):
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_uid", next(_NODE_COUNTER))
+        object.__setattr__(self, "_bound", _UNSET)
         _INTERN[key] = self
         return self
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Atom is immutable")
+
+    @property
+    def bound(self) -> "Optional[AtomBound]":
+        """The bound this atom puts on its linear term, or ``None`` for a
+        variable-free atom.
+
+        ``(direction, value, strict, upper, lower)`` reads
+        ``direction <= value`` when *upper* and ``direction >= value`` when
+        *lower* (both for ``EQ``), ``<`` / ``>`` when *strict*.
+        *direction* is the interned :class:`LinExpr` of the primitive
+        integer coefficient vector with a positive leading coefficient, so
+        parallel atoms share it; *value* is an ``int`` when integral.
+        Computed on first use and kept for the atom's lifetime."""
+        b = self._bound
+        if b is _UNSET:
+            b = _atom_bound(self.expr, self.rel)
+            object.__setattr__(self, "_bound", b)
+        return b
 
     def free_vars(self) -> FrozenSet[str]:
         return self.expr.variables()
@@ -220,6 +242,35 @@ class Atom(Formula):
 
     def __repr__(self) -> str:
         return f"({self.expr} {self.rel.value} 0)"
+
+
+#: Placeholder of :attr:`Atom.bound` before its first use.
+_UNSET = object()
+
+#: ``(direction, value, strict, upper, lower)``; see :attr:`Atom.bound`.
+AtomBound = Tuple[LinExpr, Union[int, "Fraction"], bool, bool, bool]
+
+
+def _atom_bound(expr: LinExpr, rel: Rel) -> "Optional[AtomBound]":
+    coeffs = expr._coeffs
+    if not coeffs:
+        return None
+    # expr = scale * direction + constant; for coefficients in lowest
+    # terms, gcd(numerators) / lcm(denominators) makes direction primitive
+    scale = Fraction(math.gcd(*(c.numerator for _, c in coeffs)),
+                     math.lcm(*(c.denominator for _, c in coeffs)))
+    if coeffs[0][1] < 0:
+        scale = -scale
+    direction = LinExpr(
+        coeffs if scale == 1 else [(n, c / scale) for n, c in coeffs]
+    )
+    value = -expr.constant / scale
+    if value.denominator == 1:
+        value = int(value)
+    if rel is Rel.EQ:
+        return (direction, value, False, True, True)
+    upper = scale > 0
+    return (direction, value, rel is Rel.LT, upper, not upper)
 
 
 class NaryOp(Formula):
@@ -529,7 +580,7 @@ def _norm_le(expr: LinExpr) -> LinExpr:
     return e
 
 
-from fractions import Fraction  # noqa: E402  (used by _norm_le)
+from fractions import Fraction  # noqa: E402  (used by _norm_le, _atom_bound)
 
 
 def _gcd_int(a: int, b: int) -> int:
@@ -686,8 +737,12 @@ def to_nnf(p: Formula, negate: bool = False) -> Formula:
 
 _DNF_CACHE = LRUCache(100_000)
 
+#: Cube cap of :func:`to_dnf`: a conversion whose running cube count
+#: exceeds it raises :class:`MemoryError`.
+DNF_LIMIT = 50_000
 
-def to_dnf(p: Formula, limit: int = 50_000) -> List[List[Atom]]:
+
+def to_dnf(p: Formula, limit: int = DNF_LIMIT) -> List[List[Atom]]:
     """Disjunctive normal form as a list of conjunctions of atoms.
 
     Existentials are pushed inward and recorded by renaming their bound
@@ -705,9 +760,71 @@ def to_dnf(p: Formula, limit: int = 50_000) -> List[List[Atom]]:
     return cubes
 
 
+#: ``(p, limit)`` -> :func:`nnf_tree` of *p*.
+_NNF_TREES = LRUCache(100_000)
+
+#: :func:`nnf_tree` output: an :class:`Atom`, or ``(is_or, children)``.
+NNFTree = Union["Atom", Tuple[bool, tuple]]
+
+
+def nnf_tree(p: Formula, limit: int = DNF_LIMIT) -> NNFTree:
+    """The NNF of the quantifier-free *p* as plain nested tuples, for
+    callers that enumerate its cubes themselves instead of calling
+    :func:`to_dnf`.
+
+    An And node becomes ``(False, children)`` and an Or node ``(True,
+    children)``, so ``true`` is ``(False, ())`` and ``false`` is ``(True,
+    ())``; children keep the NNF's order, so a depth-first walk meets the
+    cubes in :func:`to_dnf` order.  Raises :class:`MemoryError` exactly
+    where ``to_dnf(p, limit)`` would: the conversion replays its running
+    cube-count sum and product checks without building a cube.
+
+    Memoised like :func:`to_dnf`, with the same retention: the memo keeps
+    *p* and the atoms of its cubes alive, but none of the NNF's And/Or
+    nodes.  Conjunct order follows interning order, so a node that dies
+    and is rebuilt sorts differently; keeping exactly the nodes the cube
+    memo kept keeps the inferred specs identical to eager conversion."""
+    key = (p, limit)
+    tree = _NNF_TREES.get(key)
+    if tree is None:
+        tree = _nnf_tree(to_nnf(p), limit)[0]
+        _NNF_TREES.put(key, tree)
+    return tree
+
+
+def _nnf_tree(p: Formula, limit: int) -> Tuple[NNFTree, int]:
+    """``(tree, number of cubes)``, raising where :func:`_dnf` would."""
+    if isinstance(p, BoolConst):
+        return ((False, ()), 1) if p.value else ((True, ()), 0)
+    if isinstance(p, Atom):
+        return p, 1
+    children = []
+    if isinstance(p, Or):
+        count = 0
+        for a in p.args:
+            child, n = _nnf_tree(a, limit)
+            children.append(child)
+            count += n
+            if count > limit:
+                raise MemoryError("DNF explosion beyond configured limit")
+        return (True, tuple(children)), count
+    if isinstance(p, And):
+        count = 1
+        for a in p.args:
+            child, n = _nnf_tree(a, limit)
+            children.append(child)
+            count *= n
+            if count > limit:
+                raise MemoryError("DNF explosion beyond configured limit")
+        return (False, tuple(children)), count
+    raise TypeError(f"cannot convert {type(p).__name__} (quantifier-free NNF expected)")
+
+
 def clear_dnf_cache() -> None:
-    """Drop all memoised DNF conversions and reset the eviction counter."""
+    """Drop all memoised DNF conversions (and :func:`nnf_tree`'s memo)
+    and reset the eviction counter."""
     _DNF_CACHE.clear(reset_evictions=True)
+    _NNF_TREES.clear(reset_evictions=True)
 
 
 def dnf_cache_stats() -> Dict[str, int]:
