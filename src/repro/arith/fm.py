@@ -11,9 +11,10 @@ that dominates the paper's verification conditions.  In general it remains a
 UNSAT).
 
 :func:`cube_is_sat` first runs a linear bounds pre-pass: each atom bounds
-one linear term from above, below or both (:attr:`repro.arith.formula.Atom.bound`),
-and two opposite bounds on one term that cannot both hold refute the cube
-before the memo is probed and FM runs.  The pre-pass only ever answers
+one linear term from above, below or both
+(:attr:`repro.arith.formula.Atom.bound`), and two opposite bounds on one
+term that cannot both hold refute the cube before the memo is probed and
+FM runs.  The pre-pass only ever answers
 UNSAT, and only for rationally UNSAT cubes, which FM refutes too, so it
 never changes an answer.  See ``docs/solver.md``.
 """

@@ -817,7 +817,9 @@ def _nnf_tree(p: Formula, limit: int) -> Tuple[NNFTree, int]:
             if count > limit:
                 raise MemoryError("DNF explosion beyond configured limit")
         return (False, tuple(children)), count
-    raise TypeError(f"cannot convert {type(p).__name__} (quantifier-free NNF expected)")
+    raise TypeError(
+        f"cannot convert {type(p).__name__} (quantifier-free NNF expected)"
+    )
 
 
 def clear_dnf_cache() -> None:

@@ -118,9 +118,8 @@ class TestBoundsRefute:
         assert fm.fm_cache_stats()["bounds_unsat"] == 0
         calls = []
         real = fm._cube_is_sat
-        monkeypatch.setattr(
-            fm, "_cube_is_sat", lambda atoms: calls.append(atoms) or real(atoms)
-        )
+        monkeypatch.setattr(fm, "_cube_is_sat",
+                            lambda atoms: calls.append(atoms) or real(atoms))
         assert not fm.cube_is_sat([atom_ge(x, 1), atom_le(x, 0)])
         assert calls == []
         stats = fm.fm_cache_stats()
