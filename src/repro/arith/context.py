@@ -51,7 +51,6 @@ from repro.arith.formula import (
     And,
     Atom,
     BoolConst,
-    DNF_LIMIT,
     Exists,
     FALSE,
     Formula,
@@ -521,9 +520,7 @@ class SolverContext:
 
 
 def any_cube_sat(
-    p: Formula,
-    prefixes: Sequence[Sequence[Atom]] = ((),),
-    limit: int = DNF_LIMIT,
+    p: Formula, prefixes: Sequence[Sequence[Atom]] = ((),)
 ) -> bool:
     """Whether some cube of *p*, extended by some prefix, is satisfiable.
 
@@ -532,7 +529,7 @@ def any_cube_sat(
 
         for pre in prefixes:
             if pre and not fm.cube_is_sat(pre): continue
-            if any(fm.cube_is_sat(list(pre) + c) for c in to_dnf(p, limit)):
+            if any(fm.cube_is_sat(list(pre) + c) for c in to_dnf(p)):
                 return True
 
     except that no leaf below a partial cube whose opposite bounds
@@ -543,9 +540,9 @@ def any_cube_sat(
     are walked the same way.
     """
     if _contains_exists(p):
-        tree = (True, tuple((False, tuple(c)) for c in to_dnf(p, limit)))
+        tree = (True, tuple((False, tuple(c)) for c in to_dnf(p)))
     else:
-        tree = nnf_tree(p, limit)  # raises where to_dnf(p, limit) would
+        tree = nnf_tree(p)  # raises where to_dnf(p) would
     for pre in prefixes:
         if pre and not fm.cube_is_sat(pre):
             continue

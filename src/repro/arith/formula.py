@@ -760,14 +760,14 @@ def to_dnf(p: Formula, limit: int = DNF_LIMIT) -> List[List[Atom]]:
     return cubes
 
 
-#: ``(p, limit)`` -> :func:`nnf_tree` of *p*.
+#: *p* -> :func:`nnf_tree` of *p*.
 _NNF_TREES = LRUCache(100_000)
 
 #: :func:`nnf_tree` output: an :class:`Atom`, or ``(is_or, children)``.
 NNFTree = Union["Atom", Tuple[bool, tuple]]
 
 
-def nnf_tree(p: Formula, limit: int = DNF_LIMIT) -> NNFTree:
+def nnf_tree(p: Formula) -> NNFTree:
     """The NNF of the quantifier-free *p* as plain nested tuples, for
     callers that enumerate its cubes themselves instead of calling
     :func:`to_dnf`.
@@ -776,23 +776,22 @@ def nnf_tree(p: Formula, limit: int = DNF_LIMIT) -> NNFTree:
     children)``, so ``true`` is ``(False, ())`` and ``false`` is ``(True,
     ())``; children keep the NNF's order, so a depth-first walk meets the
     cubes in :func:`to_dnf` order.  Raises :class:`MemoryError` exactly
-    where ``to_dnf(p, limit)`` would: the conversion replays its running
-    cube-count sum and product checks without building a cube.
+    where :func:`to_dnf` would at :data:`DNF_LIMIT`: the conversion replays
+    its running cube-count sum and product checks without building a cube.
 
     Memoised like :func:`to_dnf`, with the same retention: the memo keeps
     *p* and the atoms of its cubes alive, but none of the NNF's And/Or
     nodes.  Conjunct order follows interning order, so a node that dies
     and is rebuilt sorts differently; keeping exactly the nodes the cube
     memo kept keeps the inferred specs identical to eager conversion."""
-    key = (p, limit)
-    tree = _NNF_TREES.get(key)
+    tree = _NNF_TREES.get(p)
     if tree is None:
-        tree = _nnf_tree(to_nnf(p), limit)[0]
-        _NNF_TREES.put(key, tree)
+        tree = _nnf_tree(to_nnf(p))[0]
+        _NNF_TREES.put(p, tree)
     return tree
 
 
-def _nnf_tree(p: Formula, limit: int) -> Tuple[NNFTree, int]:
+def _nnf_tree(p: Formula) -> Tuple[NNFTree, int]:
     """``(tree, number of cubes)``, raising where :func:`_dnf` would."""
     if isinstance(p, BoolConst):
         return ((False, ()), 1) if p.value else ((True, ()), 0)
@@ -802,19 +801,19 @@ def _nnf_tree(p: Formula, limit: int) -> Tuple[NNFTree, int]:
     if isinstance(p, Or):
         count = 0
         for a in p.args:
-            child, n = _nnf_tree(a, limit)
+            child, n = _nnf_tree(a)
             children.append(child)
             count += n
-            if count > limit:
+            if count > DNF_LIMIT:
                 raise MemoryError("DNF explosion beyond configured limit")
         return (True, tuple(children)), count
     if isinstance(p, And):
         count = 1
         for a in p.args:
-            child, n = _nnf_tree(a, limit)
+            child, n = _nnf_tree(a)
             children.append(child)
             count *= n
-            if count > limit:
+            if count > DNF_LIMIT:
                 raise MemoryError("DNF explosion beyond configured limit")
         return (False, tuple(children)), count
     raise TypeError(

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arith import fm
+from repro.arith import fm, formula
 from repro.arith.context import SolverContext, any_cube_sat
 from repro.arith.formula import (
     Atom,
@@ -258,6 +258,8 @@ def test_lazy_enumeration_with_prefixes_equals_eager(assumption, p):
 @settings(max_examples=200, deadline=None)
 @given(trees(), st.integers(min_value=1, max_value=6))
 def test_lazy_cap_matches_to_dnf(p, cap):
+    """With the cube cap lowered to *cap*, the lazy path raises exactly
+    where ``to_dnf`` does (small caps make the cap bite on small trees)."""
     clear_dnf_cache()
     try:
         to_dnf(p, limit=cap)
@@ -265,12 +267,35 @@ def test_lazy_cap_matches_to_dnf(p, cap):
     except MemoryError:
         eager_raises = True
     clear_dnf_cache()
-    try:
-        any_cube_sat(p, limit=cap)
-        lazy_raises = False
-    except MemoryError:
-        lazy_raises = True
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formula, "DNF_LIMIT", cap)
+        try:
+            any_cube_sat(p)
+            lazy_raises = False
+        except MemoryError:
+            lazy_raises = True
+    clear_dnf_cache()
     assert lazy_raises == eager_raises
+
+
+@pytest.mark.parametrize("k", [15, 16])
+def test_real_cap_matches_to_dnf(k):
+    """At the real cap, 2^15 cubes convert and 2^16 raise, on both paths.
+    The leading contradiction prunes the whole walk, so only the cap
+    replay does any work on the lazy side."""
+    wide = conj(*(disj(atom_le(var(f"v{i}"), 0), atom_ge(var(f"v{i}"), 5))
+                  for i in range(k)))
+    p = conj(atom_ge(x, 1), atom_le(x, 0), wide)
+    raises = []
+    for convert in (to_dnf, any_cube_sat):
+        clear_dnf_cache()
+        try:
+            convert(p)
+            raises.append(False)
+        except MemoryError:
+            raises.append(True)
+    clear_dnf_cache()
+    assert raises == [2 ** k > formula.DNF_LIMIT] * 2
 
 
 def test_quantified_formula_is_expanded_by_to_dnf(monkeypatch):
