@@ -326,33 +326,31 @@ _STALE_PESSIMAL_CUBE = [
 ]
 
 
-def _stale_order_eliminate(atoms, targets):
+def _stale_order_eliminate(rows, targets):
     """Replay of the pre-fix ordering: every variable is scored once
-    against the ORIGINAL cube (greedy re-selection over a never-updated
+    against the ORIGINAL rows (greedy re-selection over a never-updated
     ``current``), then eliminated in that fixed order."""
     from repro.arith import fm
 
     order = sorted(
         targets,
-        key=lambda n: (
-            (lambda lo, up, _r: len(lo) * len(up))(
-                *fm._partition_by_var(atoms, n)
-            ),
-            n,
+        key=lambda i: (
+            (lambda lo, up, _r: len(lo) * len(up))(*fm._partition(rows, i)),
+            i,
         ),
     )
-    current = list(atoms)
-    for name in order:
-        current = fm.eliminate_var(current, name)
+    current = list(rows)
+    for i in order:
+        current = fm._eliminate_var(current, i)
     return current
 
 
 @pytest.mark.perf_guard
 def test_perf_guard_interleaved_ordering_beats_stale_ordering():
-    """Ordering-regression guard for :func:`fm.eliminate_all`.
+    """Ordering-regression guard for :func:`fm._eliminate_all`.
 
     The cheapest-first heuristic must be re-scored against the current
-    (partially eliminated) cube each round.  The historical bug ranked all
+    (partially eliminated) rows each round.  The historical bug ranked all
     variables once against the original cube; on this fixture that stale
     order does about twice the elimination work.  If the interleaving
     regresses, the work counts converge and this fails."""
@@ -372,14 +370,17 @@ def test_perf_guard_interleaved_ordering_beats_stale_ordering():
         )
         for row in _STALE_PESSIMAL_CUBE
     ]
-    targets = {"a", "b", "c", "d"}
+    names, cons = fm._rows(atoms)
+    assert names == ["a", "b", "c", "d"]
+    rows = [(row, False) for row, _ in cons]
+    targets = set(range(len(names)))
 
     before = fm.elimination_count()
-    interleaved_out = fm.eliminate_all(list(atoms), set(targets))
+    interleaved_out = fm._eliminate_all(list(rows), set(targets))
     interleaved = fm.elimination_count() - before
 
     before = fm.elimination_count()
-    stale_out = _stale_order_eliminate(atoms, targets)
+    stale_out = _stale_order_eliminate(rows, targets)
     stale = fm.elimination_count() - before
 
     # Both orders are sound projections: here both reach the same (empty,
@@ -391,6 +392,44 @@ def test_perf_guard_interleaved_ordering_beats_stale_ordering():
         f"{stale} for the stale up-front ordering: the cheapest-first "
         "re-scoring has regressed"
     )
+
+
+@pytest.mark.perf_guard
+def test_perf_guard_fm_builds_no_intermediate_linexpr(monkeypatch):
+    """Allocation guard for the integer-row FM engine.
+
+    A real FM run works on integer rows from the cube's conversion on, so
+    it constructs no :class:`LinExpr` at all, even when it substitutes by
+    an equality whose pivot coefficient is not a unit and eliminates
+    several variables.  A projection builds at most one per atom it
+    returns.  An engine that round-trips intermediate constraints through
+    interned expressions fails this."""
+    from repro.arith import fm
+    from repro.arith.formula import atom_eq, atom_le
+    from repro.arith.terms import LinExpr
+
+    a, b, c, d = (var(n) for n in "abcd")
+    cube = [
+        atom_eq(a.scale(3) + b.scale(2), c.scale(-2) + 7),
+        atom_le(b - c, 4), atom_le(c.scale(2) - d, 1), atom_le(d, a + 3),
+        atom_le(-d, 5), atom_le(a - b, 2), atom_le(b + d, 9),
+    ]
+    made = []
+    real_new = LinExpr.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(LinExpr, "__new__", staticmethod(counting_new))
+    before = fm.elimination_count()
+    assert fm._cube_is_sat(cube) is True
+    assert fm.elimination_count() - before > len(cube)
+    assert made == []
+    for keep in ({"a"}, {"a", "d"}, {"b", "c", "d"}):
+        made.clear()
+        projected = fm.project_cube(cube, keep=keep)
+        assert projected and len(made) <= len(projected)
 
 
 @pytest.mark.perf_guard

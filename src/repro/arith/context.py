@@ -21,7 +21,7 @@ procedures:
   for bench reporting.
 
 All cube-level decision work (satisfiability, projection, models) goes
-to the exact-Fraction Fourier-Motzkin engine, looked up as ``fm.<name>``
+to the integer-row Fourier-Motzkin engine, looked up as ``fm.<name>``
 at call time so instrumentation that wraps the module attribute sees
 every call.
 

@@ -1,14 +1,22 @@
 """Fourier-Motzkin elimination over conjunctions of linear atoms.
 
 This is the engine behind satisfiability, entailment and projection in
-:mod:`repro.arith.solver`.  All arithmetic is exact.  Every derived
-inequality is re-normalised through the integer-tightening constructor in
-:mod:`repro.arith.formula`, which gives a cheap approximation of the Omega
-test's dark shadow: single-variable divisibility gaps are closed, so the
-procedure is exact on the unit-coefficient (difference-bound-like) fragment
-that dominates the paper's verification conditions.  In general it remains a
-*sound* UNSAT test for integer constraints (rational UNSAT implies integer
-UNSAT).
+:mod:`repro.arith.solver`.  All arithmetic is exact and on integers: a cube
+is converted once into dense integer rows (variables indexed in sorted-name
+order, the constant last, see :data:`Row`), and substitution, bound
+pairing, tightening, deduplication and the cheapest-first ordering all run
+on those tuples.  Only :func:`project_cube`'s result is turned back into
+atoms.  Every derived row goes through :func:`repro.arith.terms.tighten`,
+the rule the smart constructors of :mod:`repro.arith.formula` apply, which
+gives a cheap approximation of the Omega test's dark shadow:
+single-variable divisibility gaps are closed, so the procedure is exact on
+the unit-coefficient (difference-bound-like) fragment that dominates the
+paper's verification conditions.  In general it remains a *sound* UNSAT
+test for integer constraints (rational UNSAT implies integer UNSAT).  Each
+derived row is a positive multiple of the constraint an elimination over
+rational atoms derives, so it tightens to exactly that atom's expression:
+answers, work units and projected atoms are those of the atom-based engine
+this one replaced (``docs/solver.md``).
 
 :func:`cube_is_sat` first runs a linear bounds pre-pass: each atom bounds
 one linear term from above, below or both
@@ -21,12 +29,13 @@ never changes an answer.  See ``docs/solver.md``.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.arith.formula import Atom, BoolConst, FALSE, Rel, TRUE, _atom_or_const
+from repro.arith.formula import Atom, Rel
 from repro.arith.lru import LRUCache
-from repro.arith.terms import LinExpr
+from repro.arith.terms import LinExpr, tighten
 
 #: Count of raw Fourier-Motzkin elimination *work* performed since the last
 #: :func:`clear_fm_caches`: one unit per eliminated variable plus one per
@@ -47,217 +56,292 @@ class Unsat(Exception):
     """Raised internally when a cube is discovered to be contradictory."""
 
 
-def _check_const(atom: Atom) -> Optional[Atom]:
-    """Fold a constant atom to None (true) or raise :class:`Unsat`."""
-    if atom.expr.is_constant():
-        value = atom.expr.constant
-        if atom.rel is Rel.LE:
-            ok = value <= 0
-        elif atom.rel is Rel.LT:
-            ok = value < 0
-        else:
-            ok = value == 0
-        if not ok:
-            raise Unsat()
-        return None
-    return atom
+#: The relations, bound once (attribute access on an enum class is slow).
+_LE, _LT, _EQ = Rel.LE, Rel.LT, Rel.EQ
+
+#: One constraint ``c_1*x_1 + ... + c_n*x_n + k`` over a cube's variables,
+#: indexed in sorted-name order, as the integer tuple ``(c_1, ..., c_n, k)``.
+Row = Tuple[int, ...]
+#: An inequality row and whether it is strict (``< 0``) or not (``<= 0``).
+Ineq = Tuple[Row, bool]
 
 
-def _renorm(expr: LinExpr, rel: Rel) -> Optional[Atom]:
-    """Rebuild an atom through the integer-tightening smart constructor."""
-    f = _atom_or_const(expr, rel)
-    if isinstance(f, BoolConst):
-        if not f.value:
-            raise Unsat()
-        return None
-    assert isinstance(f, Atom)
-    return f
+class _Births:
+    """When the rows one :func:`project_cube` call derives were born.
+
+    The atom-based engine created an atom for every derived constraint,
+    and formula nodes sort by creation.  A derived row is born unless an
+    equal row is still held, and a row that every list dropped is born
+    again when it is derived again (its atom had died); result atoms are
+    built in the order of these births."""
+
+    def __init__(self) -> None:
+        self.order: Dict[Tuple[Row, Rel], int] = {}
+        self._stamps = itertools.count()
+
+    def derived(self, row: Row, rel: Rel) -> None:
+        if (row, rel) not in self.order:
+            self.order[row, rel] = next(self._stamps)
+
+    def held(self, keys: Iterable[Tuple[Row, Rel]]) -> None:
+        """Only the rows of *keys* are still held."""
+        keys = set(keys)
+        self.order = {k: v for k, v in self.order.items() if k in keys}
 
 
-def substitute_equalities(
-    atoms: Sequence[Atom],
-    record: Optional[List[Tuple[str, LinExpr]]] = None,
-) -> List[Atom]:
-    """Use equality atoms to substitute variables away (Gaussian style).
+def _rows(atoms: Sequence[Atom]) -> Tuple[List[str], List[Tuple[Row, Rel]]]:
+    """The cube's variable names in sorted order, and each atom as its row
+    (denominators cleared by a positive factor; atoms the smart
+    constructors build are integral already) with its relation."""
+    names = sorted({n for a in atoms for n, _ in a.expr._coeffs})
+    index = {n: i for i, n in enumerate(names)}
+    zeros = [0] * len(names)
+    cons = []
+    for a in atoms:
+        pairs, const, _ = a.expr.cleared()
+        row = zeros + [const]
+        for n, c in pairs:
+            row[index[n]] = c
+        cons.append((tuple(row), a.rel))
+    return names, cons
 
-    Returns an equisatisfiable cube in which remaining equalities mention
-    only variables that could not be isolated (none, for linear systems).
-    When *record* is given, each performed substitution ``name := expr``
-    is appended to it (in application order) so callers can reconstruct
-    the eliminated variables from a model of the residue.
-    Raises :class:`Unsat` on contradiction.
+
+def _renorm(row: Row, rel: Rel) -> Optional[Row]:
+    """*row* tightened for *rel*, or ``None`` when it is variable-free and
+    holds.  Raises :class:`Unsat` when it is variable-free and fails."""
+    if any(row[:-1]):
+        return tighten(row, rel is _LE)
+    k = row[-1]
+    if rel is _LE:
+        ok = k <= 0
+    elif rel is _LT:
+        ok = k < 0
+    else:
+        ok = k == 0
+    if not ok:
+        raise Unsat()
+    return None
+
+
+def _substitute(
+    cons: Sequence[Tuple[Row, Rel]],
+    record: Optional[List[Tuple[int, Row]]] = None,
+    births: Optional[_Births] = None,
+) -> Tuple[List[Row], List[Ineq]]:
+    """Use the equalities to substitute variables away (Gaussian style).
+
+    Returns ``(equalities, inequalities)`` of an equisatisfiable cube.
+    Each equality used keeps its pivot (the variable it was solved for,
+    the first of least absolute coefficient); no other row mentions that
+    pivot.  Substituting by an equality ``eq`` with pivot coefficient
+    ``c`` turns a row ``r`` into ``|c|*r - sign(c)*r[pivot]*eq``, a
+    positive multiple of the rational substitution, so tightening gives
+    the same row.  Every row is re-tightened in every round, in the order
+    remaining equalities, inequalities, used equalities.  When *record*
+    is given, ``(pivot, eq)`` is appended per substitution so
+    :func:`cube_model` can recover the pivots.  Raises :class:`Unsat` on
+    contradiction.
     """
-    eqs = [a for a in atoms if a.rel is Rel.EQ]
-    les = [a for a in atoms if a.rel is not Rel.EQ]  # LE and (strict) LT
-    solved: List[Atom] = []
+    eqs = [row for row, rel in cons if rel is _EQ]
+    les = [(row, rel) for row, rel in cons if rel is not _EQ]
+    solved: List[Row] = []
+
+    def sub(r: Row, rel: Rel) -> Optional[Row]:
+        a = r[p]
+        new = r if a == 0 else tuple(
+            [abs(c) * x - (a if c > 0 else -a) * e for x, e in zip(r, eq)]
+        )
+        new = _renorm(new, rel)
+        if births is not None and new is not None and new is not r:
+            births.derived(new, rel)
+        return new
+
+    def held() -> None:
+        if births is not None:
+            births.held([(r, _EQ) for r in eqs + solved + [eq]] + les)
+
     while eqs:
         eq = eqs.pop()
-        folded = _check_const(eq)
-        if folded is None:
+        coeffs = eq[:-1]
+        if not any(coeffs):
+            if eq[-1] != 0:
+                raise Unsat()
             continue
-        expr = folded.expr
-        # pick the variable with coefficient of smallest absolute value to
-        # keep numbers small; any choice is correct
-        name, coeff = min(expr.coeffs.items(), key=lambda kv: abs(kv[1]))
-        # name = -(expr - coeff*name)/coeff
-        rest = expr - LinExpr({name: coeff})
-        replacement = rest.scale(Fraction(-1, 1) / coeff)
+        p = min((i for i, k in enumerate(coeffs) if k),
+                key=lambda i: abs(coeffs[i]))
+        c = eq[p]
         if record is not None:
-            record.append((name, replacement))
-        mapping = {name: replacement}
-        new_eqs: List[Atom] = []
-        for a in eqs:
-            r = _renorm(a.expr.substitute(mapping), Rel.EQ)
-            if r is not None:
-                new_eqs.append(r)
-        eqs = new_eqs
-        new_les: List[Atom] = []
-        for a in les:
-            r = _renorm(a.expr.substitute(mapping), a.rel)
-            if r is not None:
-                new_les.append(r)
-        les = new_les
-        solved = [
-            s
-            for s in (
-                _renorm(a.expr.substitute(mapping), a.rel) for a in solved
-            )
-            if s is not None
-        ]
-        solved.append(folded)
-    return solved + les
+            record.append((p, eq))
+        eqs = [r for r in (sub(r, _EQ) for r in eqs) if r is not None]
+        held()
+        les = [(r, rel) for r, rel in ((sub(r, rel), rel) for r, rel in les)
+               if r is not None]
+        held()
+        solved = [r for r in (sub(r, _EQ) for r in solved)
+                  if r is not None]
+        solved.append(eq)
+        held()
+    return solved, [(row, rel is _LT) for row, rel in les]
 
 
-def _partition_by_var(
-    atoms: Sequence[Atom], name: str
-) -> Tuple[List[Atom], List[Atom], List[Atom]]:
-    """Split LE atoms into (lower bounds, upper bounds, unrelated)."""
-    lowers: List[Atom] = []
-    uppers: List[Atom] = []
-    rest: List[Atom] = []
-    for a in atoms:
-        c = a.expr.coeff(name)
+def _partition(
+    rows: Sequence[Ineq], i: int
+) -> Tuple[List[Ineq], List[Ineq], List[Ineq]]:
+    """Split inequality rows into (lower bounds, upper bounds, unrelated)
+    on variable *i*."""
+    lowers: List[Ineq] = []
+    uppers: List[Ineq] = []
+    rest: List[Ineq] = []
+    for ineq in rows:
+        c = ineq[0][i]
         if c == 0:
-            rest.append(a)
+            rest.append(ineq)
         elif c > 0:
-            uppers.append(a)  # c*v + r <= 0  => v <= -r/c
+            uppers.append(ineq)  # c*v + r <= 0  => v <= -r/c
         else:
-            lowers.append(a)  # -c*v + r <= 0 => v >= r/(-c)
+            lowers.append(ineq)  # -c*v + r <= 0 => v >= r/(-c)
     return lowers, uppers, rest
 
 
-def eliminate_var(atoms: Sequence[Atom], name: str) -> List[Atom]:
-    """Eliminate *name* from a cube of LE atoms by Fourier-Motzkin.
+def _eliminate_var(
+    rows: Sequence[Ineq], i: int, births: Optional[_Births] = None
+) -> List[Ineq]:
+    """Eliminate variable *i* from inequality rows by Fourier-Motzkin.
 
-    Equalities must have been substituted away first.  Raises
-    :class:`Unsat` when a contradiction becomes constant.
+    Equalities must have been substituted away or split first.  The
+    result is the unrelated rows, then each tightened lower/upper
+    combination in order, without duplicates.  Raises :class:`Unsat`
+    when a contradiction becomes constant.
     """
     global _ELIMINATIONS
-    lowers, uppers, rest = _partition_by_var(atoms, name)
+    lowers, uppers, out = _partition(rows, i)
     _ELIMINATIONS += 1 + len(lowers) * len(uppers)
-    out = list(rest)
-    for lo in lowers:
-        cl = -lo.expr.coeff(name)  # positive
-        for up in uppers:
-            cu = up.expr.coeff(name)  # positive
-            # cl * up + cu * lo eliminates name; the combination is strict
+    for lo, lo_strict in lowers:
+        cl = -lo[i]  # positive
+        for up, up_strict in uppers:
+            cu = up[i]  # positive
+            # cl * up + cu * lo eliminates i; the combination is strict
             # exactly when either parent bound is strict
-            combined = up.expr.scale(cl) + lo.expr.scale(cu)
-            rel = (
-                Rel.LT
-                if (lo.rel is Rel.LT or up.rel is Rel.LT)
-                else Rel.LE
+            strict = lo_strict or up_strict
+            rel = _LT if strict else _LE
+            row = _renorm(
+                tuple([cl * u + cu * v for u, v in zip(up, lo)]), rel
             )
-            r = _renorm(combined, rel)
-            if r is not None:
-                out.append(r)
-    return _dedup(out)
+            if row is not None:
+                out.append((row, strict))
+                if births is not None:
+                    births.derived(row, rel)
+    return list(dict.fromkeys(out))
 
 
-def _dedup(atoms: Iterable[Atom]) -> List[Atom]:
-    seen: Set[Atom] = set()
-    out: List[Atom] = []
-    for a in atoms:
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    return out
-
-
-def _cheapest_var(atoms: Sequence[Atom], remaining: Set[str]) -> str:
-    """The variable of *remaining* whose elimination from *atoms* produces
-    the fewest combined constraints (ties broken lexicographically, so the
-    choice is independent of set-iteration order)."""
-    best = None
-    best_cost = None
-    for n in sorted(remaining):
-        lowers, uppers, _ = _partition_by_var(atoms, n)
-        cost = len(lowers) * len(uppers)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = n, cost
-    assert best is not None
+def _cheapest_var(rows: Sequence[Ineq], remaining: Set[int]) -> int:
+    """The variable of *remaining* whose elimination from *rows* produces
+    the fewest combined constraints (ties broken by name order)."""
+    best = -1
+    best_cost = -1
+    for i in sorted(remaining):
+        lowers = uppers = 0
+        for row, _ in rows:
+            c = row[i]
+            if c > 0:
+                uppers += 1
+            elif c < 0:
+                lowers += 1
+        cost = lowers * uppers
+        if best_cost < 0 or cost < best_cost:
+            best, best_cost = i, cost
+            if cost == 0:
+                break
     return best
 
 
-def eliminate_all(
-    atoms: Sequence[Atom],
-    targets: Set[str],
-    stack: Optional[List[Tuple[str, List[Atom]]]] = None,
-) -> List[Atom]:
-    """Eliminate every variable of *targets* from a cube of LE atoms.
+def _eliminate_all(
+    rows: Sequence[Ineq],
+    targets: Set[int],
+    stack: Optional[List[Tuple[int, List[Ineq]]]] = None,
+    births: Optional[_Births] = None,
+) -> List[Ineq]:
+    """Eliminate every variable of *targets* from inequality rows.
 
     The cheapest-first heuristic is *interleaved* with elimination: after
     each round the next variable is scored against the current (partially
-    eliminated) cube, not the original one -- scoring everything up front
+    eliminated) rows, not the original ones -- scoring everything up front
     ranks variables by bound counts that the earlier eliminations have
     already invalidated, which can steer the quadratic pairing into far
     more combinations than necessary.
 
-    When *stack* is given, ``(name, atoms-before-eliminating-name)`` is
+    When *stack* is given, ``(variable, rows-before-eliminating-it)`` is
     appended per round (the back-substitution input of :func:`cube_model`).
     Raises :class:`Unsat` when a contradiction becomes constant.
     """
     remaining = set(targets)
-    current = list(atoms)
+    current = list(rows)
     while remaining:
-        name = _cheapest_var(current, remaining)
-        remaining.discard(name)
+        i = _cheapest_var(current, remaining)
+        remaining.discard(i)
         if stack is not None:
-            stack.append((name, current))
-        current = eliminate_var(current, name)
+            stack.append((i, current))
+        current = _eliminate_var(current, i, births)
     return current
+
+
+def _free(rows: Iterable[Row]) -> Set[int]:
+    """The variables some row mentions."""
+    return {i for i, col in enumerate(list(zip(*rows))[:-1]) if any(col)}
+
+
+def _split(eq: Row) -> List[Ineq]:
+    """``e == 0`` as ``e <= 0`` and ``-e <= 0`` (not tightened)."""
+    return [(eq, False), (tuple([-c for c in eq]), False)]
 
 
 def project_cube(atoms: Sequence[Atom], keep: Optional[Set[str]] = None,
                  eliminate: Optional[Set[str]] = None) -> List[Atom]:
     """Project a cube onto *keep* (or eliminate *eliminate*).
 
-    Exactly one of *keep*/*eliminate* must be given.  Raises
-    :class:`Unsat` when the cube is contradictory.
+    Exactly one of *keep*/*eliminate* must be given.  Equalities that
+    mention a variable to eliminate are split into two inequalities; the
+    others are kept.  Raises :class:`Unsat` when the cube is
+    contradictory.
+
+    Only the result is turned back into atoms.  An input atom that no
+    step rewrote is returned as itself.  The others are built in the
+    order their rows were born (:class:`_Births`), so a new atom sorts
+    among the other new ones (formula nodes are ordered by creation) as
+    if every intermediate step had built its atom.
     """
     if (keep is None) == (eliminate is None):
         raise ValueError("specify exactly one of keep= or eliminate=")
-    cube = substitute_equalities(list(atoms))
-    free: Set[str] = set()
-    for a in cube:
-        free |= a.expr.variables()
-    targets = (free - keep) if keep is not None else (free & set(eliminate or ()))
-    # Equalities that survived substitution and still mention targets cannot
-    # exist for a linear system; but guard anyway by downgrading them.
-    les: List[Atom] = []
-    for a in cube:
-        if a.rel is Rel.EQ:
-            if a.expr.variables() & targets:
-                les.append(Atom(a.expr, Rel.LE))
-                les.append(Atom(-a.expr, Rel.LE))
-            else:
-                les.append(a)
+    names, cons = _rows(atoms)
+    births = _Births()
+    eqs, les = _substitute(cons, births=births)
+    free = _free(eqs + [row for row, _ in les])
+    if keep is not None:
+        targets = {i for i in free if names[i] not in keep}
+    else:
+        targets = {i for i in free if names[i] in eliminate}
+    eq_kept: List[Row] = []
+    split: List[Ineq] = []
+    for eq in eqs:
+        if any(eq[i] for i in targets):
+            split += _split(eq)
         else:
-            les.append(a)
-    eq_kept = [a for a in les if a.rel is Rel.EQ]
-    ineqs = [a for a in les if a.rel is not Rel.EQ]
-    ineqs = eliminate_all(ineqs, targets)
-    return _dedup(eq_kept + ineqs)
+            eq_kept.append(eq)
+    ineqs = _eliminate_all(split + les, targets, births=births)
+    keys = list(dict.fromkeys([(row, _EQ) for row in eq_kept]))
+    keys += dict.fromkeys(
+        [(row, _LT if strict else _LE) for row, strict in ineqs]
+    )
+    built: Dict[Tuple[Row, Rel], Atom] = {}
+    born = births.order
+    for key in sorted((k for k in keys if k in born), key=born.get):
+        row, rel = key
+        built[key] = Atom(
+            LinExpr([(n, c) for n, c in zip(names, row) if c], row[-1]), rel
+        )
+    for key, atom in zip(cons, atoms):
+        built.setdefault(key, atom)
+    return [built[key] for key in keys]
 
 
 #: ``direction -> (lower, lower strict, upper, upper strict)``: the
@@ -364,22 +448,14 @@ def fm_cache_stats() -> Dict[str, int]:
 
 
 def _cube_is_sat(atoms: Sequence[Atom]) -> bool:
+    """Fourier-Motzkin on the cube's integer rows; every call is one real
+    FM run (a :func:`cube_is_sat` cache miss)."""
     try:
-        cube = substitute_equalities(list(atoms))
-        free: Set[str] = set()
-        for a in cube:
-            free |= a.expr.variables()
-        ineqs = []
-        for a in cube:
-            if a.rel is Rel.EQ:
-                # only var-free equalities can remain; _check_const folded them
-                ineqs.append(Atom(a.expr, Rel.LE))
-                ineqs.append(Atom(-a.expr, Rel.LE))
-            else:
-                ineqs.append(a)
-        eliminate_all(ineqs, free)
-        # all remaining atoms are constant-free-variable (none) -> checked in
-        # _renorm; reaching here means no contradiction was found
+        _, cons = _rows(atoms)
+        eqs, les = _substitute(cons)
+        # each used equality still mentions its pivot: split it in two
+        rows = [ineq for eq in eqs for ineq in _split(eq)] + les
+        _eliminate_all(rows, _free(eqs + [row for row, _ in les]))
         return True
     except Unsat:
         return False
@@ -389,74 +465,62 @@ def cube_model(atoms: Sequence[Atom]) -> Optional[Dict[str, Fraction]]:
     """Produce a (rational) model of a satisfiable cube by back-substitution.
 
     Returns ``None`` when the cube is unsatisfiable.  Values are chosen
-    integral whenever the interval permits.  The returned environment is
-    validated against **every input atom** before being handed out -- a
-    witness-construction defect (e.g. a residual equality whose variables
-    never flowed through back-substitution) degrades to ``None`` instead of
-    an invalid model.
+    integral whenever the interval permits.  The inequalities are
+    eliminated variable by variable and each variable is then given a value
+    inside the bounds its rows leave once the later ones are fixed; the
+    pivots of the equalities are recovered last, in reverse substitution
+    order.  The returned environment is validated against **every input
+    atom** before being handed out -- a witness-construction defect
+    degrades to ``None`` instead of an invalid model.
     """
-    record: List[Tuple[str, LinExpr]] = []
+    names, cons = _rows(atoms)
+    record: List[Tuple[int, Row]] = []
+    stack: List[Tuple[int, List[Ineq]]] = []
     try:
-        cube = substitute_equalities(list(atoms), record=record)
-    except Unsat:
-        return None
-    eq_atoms = [a for a in cube if a.rel is Rel.EQ]
-    ineqs = [a for a in cube if a.rel is not Rel.EQ]
-    free: Set[str] = set()
-    for a in cube:
-        free |= a.expr.variables()
-    stack: List[Tuple[str, List[Atom]]] = []
-    try:
-        eliminate_all(ineqs, free, stack=stack)
+        eqs, les = _substitute(cons, record=record)
+        _eliminate_all(
+            les, _free(eqs + [row for row, _ in les]), stack=stack
+        )
     except Unsat:
         return None
     env: Dict[str, Fraction] = {}
-    for name, constraints in reversed(stack):
-        lowers, uppers, _ = _partition_by_var(constraints, name)
+
+    def rest(row: Row, i: int) -> Fraction:
+        """``row`` without its variable-*i* term, evaluated in *env*."""
+        total = Fraction(row[-1])
+        for j, c in enumerate(row[:-1]):
+            if c and j != i:
+                total += c * env[names[j]]
+        return total
+
+    for i, rows in reversed(stack):
+        lowers, uppers, _ = _partition(rows, i)
         lo_val: Optional[Fraction] = None
         up_val: Optional[Fraction] = None
         lo_strict = False
         up_strict = False
-        for a in lowers:
-            c = a.expr.coeff(name)
-            rest = (a.expr - LinExpr({name: c})).evaluate(env)
-            bound = rest / (-c)  # v >= bound (v > bound when strict)
+        for row, strict in lowers:
+            bound = rest(row, i) / -row[i]  # v >= bound (v > when strict)
             if lo_val is None or bound > lo_val:
-                lo_val, lo_strict = bound, a.rel is Rel.LT
-            elif bound == lo_val and a.rel is Rel.LT:
+                lo_val, lo_strict = bound, strict
+            elif bound == lo_val and strict:
                 lo_strict = True
-        for a in uppers:
-            c = a.expr.coeff(name)
-            rest = (a.expr - LinExpr({name: c})).evaluate(env)
-            bound = -rest / c  # v <= bound (v < bound when strict)
+        for row, strict in uppers:
+            bound = -rest(row, i) / row[i]  # v <= bound (v < when strict)
             if up_val is None or bound < up_val:
-                up_val, up_strict = bound, a.rel is Rel.LT
-            elif bound == up_val and a.rel is Rel.LT:
+                up_val, up_strict = bound, strict
+            elif bound == up_val and strict:
                 up_strict = True
-        env[name] = _pick_value(lo_val, up_val, lo_strict, up_strict)
+        env[names[i]] = _pick_value(lo_val, up_val, lo_strict, up_strict)
     # Recover the variables eliminated through equalities, in reverse
     # substitution order (later substitutions may mention earlier names).
-    for name, expr in reversed(record):
-        for v in expr.variables():
-            env.setdefault(v, Fraction(0))
-        env[name] = expr.evaluate(env)
-    for a in eq_atoms:
-        # Residual equalities still mentioning unassigned variables are
-        # *solved* for one of them (the others default to 0), never blindly
-        # zeroed: ``x == y + 5`` with y unconstrained must yield x = 5, not
-        # the invalid x = y = 0.
-        missing = sorted(a.expr.variables() - set(env))
-        if not missing:
-            continue
-        pivot = missing[0]
-        for m in missing[1:]:
-            env[m] = Fraction(0)
-        c = a.expr.coeff(pivot)
-        rest = (a.expr - LinExpr({pivot: c})).evaluate(env)
-        env[pivot] = rest / (-c)
-    for a in atoms:
-        for m in a.expr.variables() - set(env):
-            env[m] = Fraction(0)
+    for p, eq in reversed(record):
+        for j, c in enumerate(eq[:-1]):
+            if c and j != p:
+                env.setdefault(names[j], Fraction(0))
+        env[names[p]] = rest(eq, p) / -eq[p]
+    for n in names:
+        env.setdefault(n, Fraction(0))
     # The witness must satisfy every *input* atom (not just the residue the
     # elimination worked on); if construction left a hole, answer "no model
     # found" rather than an assignment that violates the cube.

@@ -33,6 +33,7 @@ import enum
 import itertools
 import math
 import weakref
+from fractions import Fraction
 from typing import (
     Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
@@ -550,43 +551,10 @@ def _atom_or_const(expr: LinExpr, rel: Rel) -> Formula:
 
 
 def _norm_le(expr: LinExpr) -> LinExpr:
-    """Normalise an LE atom: integer coefficients, gcd-reduced on the
-    variable part, constant floored accordingly (integer tightening)."""
-    # Fast path: unit integer coefficients need no work.
-    coeffs = expr.coeffs
-    if expr.constant.denominator == 1 and all(
-        c.denominator == 1 and (c == 1 or c == -1) for c in coeffs.values()
-    ):
-        return expr
-    # Scale to integer coefficients.
-    denoms = [c.denominator for c in coeffs.values()]
-    denoms.append(expr.constant.denominator)
-    lcm = 1
-    for d in denoms:
-        g = _gcd_int(lcm, d)
-        lcm = lcm * d // g
-    e = expr.scale(lcm) if lcm != 1 else expr
-    # gcd of variable coefficients only
-    g = 0
-    for c in e.coeffs.values():
-        g = _gcd_int(g, int(c))
-    if g > 1:
-        coeffs = {n: c / g for n, c in e.coeffs.items()}
-        # e <= 0  <=>  g*(sum) + k <= 0  <=>  sum <= floor(-k/g)
-        from math import floor
-
-        new_const = -floor(Fraction(-e.constant, g))
-        e = LinExpr(coeffs, new_const)
-    return e
-
-
-from fractions import Fraction  # noqa: E402  (used by _norm_le, _atom_bound)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    """Normalise an LE atom's expression: integer coefficients,
+    gcd-reduced on the variable part, constant rounded up (integer
+    tightening, :func:`repro.arith.terms.tighten`)."""
+    return expr.tightened(le=True)
 
 
 def conj(*parts: Formula) -> Formula:
@@ -737,12 +705,13 @@ def to_nnf(p: Formula, negate: bool = False) -> Formula:
 
 _DNF_CACHE = LRUCache(100_000)
 
-#: Cube cap of :func:`to_dnf`: a conversion whose running cube count
-#: exceeds it raises :class:`MemoryError`.
+#: Cube cap of :func:`to_dnf` and :func:`nnf_tree`: a conversion whose
+#: running cube count exceeds it raises :class:`MemoryError`.  Read at
+#: call time.
 DNF_LIMIT = 50_000
 
 
-def to_dnf(p: Formula, limit: int = DNF_LIMIT) -> List[List[Atom]]:
+def to_dnf(p: Formula) -> List[List[Atom]]:
     """Disjunctive normal form as a list of conjunctions of atoms.
 
     Existentials are pushed inward and recorded by renaming their bound
@@ -750,13 +719,21 @@ def to_dnf(p: Formula, limit: int = DNF_LIMIT) -> List[List[Atom]]:
     is the only way the solver consumes DNF).  Results are memoised in an
     LRU-bounded cache (quantifier-free formulas only -- fresh renaming
     makes quantified results non-reusable).
+
+    Raises :class:`MemoryError` when the running cube count exceeds
+    :data:`DNF_LIMIT`.  A quantifier-free formula is counted first, by the
+    replay :func:`nnf_tree` uses, so one over the cap is refused before
+    any cube is built.
     """
     cached = _DNF_CACHE.get(p)
     if cached is not None:
         return cached
-    cubes = _dnf(to_nnf(p), limit)
-    if not _contains_exists(p):
-        _DNF_CACHE.put(p, cubes)
+    nnf = to_nnf(p)
+    if _contains_exists(p):
+        return _dnf(nnf)
+    _nnf_tree(nnf)
+    cubes = _dnf(nnf)
+    _DNF_CACHE.put(p, cubes)
     return cubes
 
 
@@ -849,7 +826,7 @@ def _contains_exists(p: Formula) -> bool:
     return False
 
 
-def _dnf(p: Formula, limit: int) -> List[List[Atom]]:
+def _dnf(p: Formula) -> List[List[Atom]]:
     if isinstance(p, BoolConst):
         return [[]] if p.value else []
     if isinstance(p, Atom):
@@ -857,21 +834,21 @@ def _dnf(p: Formula, limit: int) -> List[List[Atom]]:
     if isinstance(p, Or):
         out: List[List[Atom]] = []
         for a in p.args:
-            out.extend(_dnf(a, limit))
-            if len(out) > limit:
+            out.extend(_dnf(a))
+            if len(out) > DNF_LIMIT:
                 raise MemoryError("DNF explosion beyond configured limit")
         return out
     if isinstance(p, And):
         cubes: List[List[Atom]] = [[]]
         for a in p.args:
-            sub = _dnf(a, limit)
+            sub = _dnf(a)
             cubes = [c + s for c in cubes for s in sub]
-            if len(cubes) > limit:
+            if len(cubes) > DNF_LIMIT:
                 raise MemoryError("DNF explosion beyond configured limit")
         return cubes
     if isinstance(p, Exists):
         # Rename bound variables to globally fresh ones, then drop the
         # quantifier: sound for SAT queries.
         fresh = {b: _fresh_name(b, p) for b in p.bound}
-        return _dnf(to_nnf(p.body.rename(fresh)), limit)
+        return _dnf(to_nnf(p.body.rename(fresh)))
     raise TypeError(f"cannot convert {type(p).__name__} to DNF (NNF expected)")

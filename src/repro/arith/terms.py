@@ -11,6 +11,7 @@ expressions are reclaimed as soon as no formula mentions them.
 
 from __future__ import annotations
 
+import math
 import weakref
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
@@ -149,27 +150,42 @@ class LinExpr:
     # -- normalisation -------------------------------------------------------
 
     def normalized(self) -> "LinExpr":
-        """Scale so all coefficients are coprime integers and the leading
-        coefficient is positive.  Used for canonical atom representations."""
-        if not self._coeffs and self._const == 0:
+        """Scale by a positive factor to coprime integer coefficients
+        (constant included).  The sign is kept: ``-x + 1`` stays as it is.
+        Used for the canonical form of ``==`` and ``<`` atoms."""
+        return self.tightened(le=False)
+
+    def tightened(self, le: bool) -> "LinExpr":
+        """Clear denominators by a positive factor, then apply
+        :func:`tighten` (for ``<= 0`` when *le*, else for ``== 0`` /
+        ``< 0``)."""
+        pairs, const, den = self.cleared()
+        row = tuple([c for _, c in pairs] + [const])
+        out = tighten(row, le)
+        if out is row and den == 1:
             return self
-        denoms = [c.denominator for _, c in self._coeffs]
-        denoms.append(self._const.denominator)
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // _gcd(lcm, d)
-        scaled = self.scale(lcm)
-        nums = [abs(int(c)) for _, c in scaled._coeffs if c != 0]
-        if scaled._const != 0:
-            nums.append(abs(int(scaled._const)))
-        if not nums:
-            return scaled
-        g = 0
-        for n in nums:
-            g = _gcd(g, n)
-        if g > 1:
-            scaled = scaled.scale(Fraction(1, g))
-        return scaled
+        return LinExpr(zip([n for n, _ in pairs], out), out[-1])
+
+    def cleared(self) -> Tuple[Tuple[Tuple[str, int], ...], int, int]:
+        """``(((name, coefficient), ...), constant, factor)``: this
+        expression times *factor*, the least common multiple of its
+        denominators, with integer coefficients."""
+        const = self._const
+        den = const.denominator
+        pairs = []
+        for n, c in self._coeffs:
+            d = c.denominator
+            if d != 1:
+                den = math.lcm(den, d)
+            pairs.append((n, c.numerator))
+        if den == 1:
+            return tuple(pairs), const.numerator, 1
+        return (
+            tuple([(n, c.numerator * (den // c.denominator))
+                   for n, c in self._coeffs]),
+            const.numerator * (den // const.denominator),
+            den,
+        )
 
     # -- dunder ---------------------------------------------------------------
 
@@ -223,10 +239,26 @@ class LinExpr:
 _ZERO = Fraction(0)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def tighten(row: Tuple[int, ...], le: bool) -> Tuple[int, ...]:
+    """The integer-tightening rule on ``row = (c_1, ..., c_n, k)``, read
+    as ``c_1*x_1 + ... + c_n*x_n + k`` compared with zero.
+
+    For ``<= 0`` (*le*) the coefficients are divided by their gcd ``g``
+    and the constant is rounded up to ``ceil(k / g)``: over the integers
+    ``g*e + k <= 0`` holds exactly when ``e + ceil(k / g) <= 0`` does.
+    For ``== 0`` and ``< 0`` every entry is divided by the gcd of all of
+    them, which keeps the rational meaning.  The sign is never flipped,
+    and a positive integer multiple of *row* tightens to the same tuple.
+    Returns *row* itself when nothing changes."""
+    if le:
+        g = math.gcd(*row[:-1])
+        if g > 1:
+            return tuple([c // g for c in row[:-1]] + [-(-row[-1] // g)])
+        return row
+    g = math.gcd(*row)
+    if g > 1:
+        return tuple([c // g for c in row])
+    return row
 
 
 def to_linexpr(value: Union[LinExpr, Coeff, str]) -> LinExpr:

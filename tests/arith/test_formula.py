@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.arith import formula
 from repro.arith.formula import (
     Atom,
     FALSE,
     Rel,
     TRUE,
+    clear_dnf_cache,
     atom_eq,
     atom_ge,
     atom_gt,
@@ -112,11 +114,31 @@ class TestNormalForms:
         assert to_dnf(TRUE) == [[]]
         assert to_dnf(FALSE) == []
 
-    def test_dnf_limit(self):
+    def test_dnf_limit(self, monkeypatch):
         big = conj(*(disj(atom_le(var(f"v{i}"), 0), atom_ge(var(f"v{i}"), 5))
                      for i in range(40)))
+        monkeypatch.setattr(formula, "DNF_LIMIT", 1000)
         with pytest.raises(MemoryError):
-            to_dnf(big, limit=1000)
+            to_dnf(big)
+
+    def test_over_cap_dnf_raises_before_building_cubes(self, monkeypatch):
+        """The cube count is replayed first: a formula over the cap never
+        reaches the materialising conversion."""
+        wide = conj(*(disj(atom_le(var(f"w{i}"), 0), atom_ge(var(f"w{i}"), 5))
+                      for i in range(11)))  # 2048 cubes
+        built = []
+        real = formula._dnf
+        monkeypatch.setattr(
+            formula, "_dnf", lambda p: built.append(p) or real(p))
+        monkeypatch.setattr(formula, "DNF_LIMIT", 2047)
+        clear_dnf_cache()
+        with pytest.raises(MemoryError):
+            to_dnf(wide)
+        assert built == []
+        monkeypatch.setattr(formula, "DNF_LIMIT", 2048)
+        assert len(to_dnf(wide)) == 2048
+        assert built  # at the cap, the conversion runs
+        clear_dnf_cache()
 
 
 class TestQuantifiers:

@@ -258,24 +258,23 @@ def test_lazy_enumeration_with_prefixes_equals_eager(assumption, p):
 @settings(max_examples=200, deadline=None)
 @given(trees(), st.integers(min_value=1, max_value=6))
 def test_lazy_cap_matches_to_dnf(p, cap):
-    """With the cube cap lowered to *cap*, the lazy path raises exactly
-    where ``to_dnf`` does (small caps make the cap bite on small trees)."""
-    clear_dnf_cache()
-    try:
-        to_dnf(p, limit=cap)
-        eager_raises = False
-    except MemoryError:
-        eager_raises = True
-    clear_dnf_cache()
+    """With the cube cap lowered to *cap*, the lazy path and ``to_dnf``
+    raise exactly where the materialising conversion ``_dnf`` does (small
+    caps make the cap bite on small trees).  ``to_dnf`` counts first with
+    the lazy path's replay, so ``_dnf`` is the independent oracle."""
+    raises = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formula, "DNF_LIMIT", cap)
-        try:
-            any_cube_sat(p)
-            lazy_raises = False
-        except MemoryError:
-            lazy_raises = True
+        for convert in (lambda p: formula._dnf(to_nnf(p)), to_dnf,
+                        any_cube_sat):
+            clear_dnf_cache()
+            try:
+                convert(p)
+                raises.append(False)
+            except MemoryError:
+                raises.append(True)
     clear_dnf_cache()
-    assert lazy_raises == eager_raises
+    assert raises[1] == raises[2] == raises[0]
 
 
 @pytest.mark.parametrize("k", [15, 16])

@@ -20,6 +20,21 @@ from repro.core.pipeline import Verdict
 
 _FAST = ("foo-paper", "plain-countdown", "even-odd-mutual")
 
+#: Four copies of the registry's ``offset-trap`` loop under distinct
+#: variable names, so no copy's solver queries hit another's caches: about
+#: 12 s of solver work on a 2-vCPU VM, three times the shard timeout the
+#: timeout test sets.
+_SLOW = BenchProgram(
+    name="offset-trap-x4", category="numeric", main="trap0",
+    expected=Verdict.NONTERMINATING,
+    source="\n".join(
+        f"void trap{i}(int x{i}) {{ while (x{i} != 0) {{"
+        f" if (x{i} > 0) {{ x{i} = x{i} - 2; }}"
+        f" else {{ x{i} = x{i} + 2; }} }} }}"
+        for i in range(4)
+    ),
+)
+
 
 def _hip_pairs(names):
     out = []
@@ -55,15 +70,14 @@ class TestShardTimeouts:
     def test_one_shard_times_out_others_still_report(self):
         """A worker killed at its deadline is recorded as T/O in its task
         slot; the remaining shards report normally."""
-        slow = by_name("offset-trap")  # ~9 s of solver work
         pairs = _hip_pairs(("foo-paper",))
-        pairs.append((HipTNTPlus(slow.main, time_budget=120.0), slow))
+        pairs.append((HipTNTPlus(_SLOW.main, time_budget=120.0), _SLOW))
         pairs.extend(_hip_pairs(("plain-countdown",)))
         t0 = time.monotonic()
         outs = run_tools_sharded(pairs, timeout=4.0, jobs=2)
         elapsed = time.monotonic() - t0
         assert [o.program for o in outs] == [
-            "foo-paper", "offset-trap", "plain-countdown"
+            "foo-paper", "offset-trap-x4", "plain-countdown"
         ]
         assert outs[0].verdict is Verdict.NONTERMINATING
         assert outs[1].timed_out
