@@ -503,3 +503,45 @@ def test_perf_guard_tail_programs_fm_work(name, fm_ceiling, refuted_ceiling):
         f"{name}: {work['bounds_unsat']} cubes refuted by the pre-pass, "
         f"ceiling {refuted_ceiling}"
     )
+
+
+# ---------------------------------------------------------------------------
+# Cold-start guard: the collector skips the import graph
+# ---------------------------------------------------------------------------
+
+#: After the one-time freeze, the cold start's full collection walks only
+#: what analyses allocated (under 1k objects); without it, the scipy/numpy
+#: import graph alone is ~71k tracked objects.
+_COLD_START_TRACKED_CEILING = 5_000
+
+
+@pytest.mark.perf_guard
+def test_perf_guard_cold_start_collects_only_the_analysis_heap():
+    """Counted, not timed: run in a fresh interpreter, since the freeze is
+    once per process and pytest's history would decide it."""
+    import pathlib
+    import subprocess
+    import sys
+
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "import gc\n"
+        "from repro.bench.programs import by_name\n"
+        "from repro.bench.runner import HipTNTPlus, _cold_start, run_tool\n"
+        "for name in ('foo-paper', 'mccarthy91-spec'):\n"
+        "    bench = by_name(name)\n"
+        "    run_tool(HipTNTPlus(bench.main), bench)\n"
+        "_cold_start()\n"
+        "print(len(gc.get_objects()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        cwd=repo, timeout=300,
+        env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    tracked = int(proc.stdout)
+    assert tracked < _COLD_START_TRACKED_CEILING, (
+        f"{tracked} objects tracked after cold start: the import graph "
+        "is no longer frozen out of the collection"
+    )

@@ -10,6 +10,7 @@ does not have any false positive nor negative").
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import multiprocessing.connection
 import signal
@@ -19,8 +20,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.arith.context import SolverStats
+from repro.arith.formula import intern_table_size, reset_fresh_names
+from repro.arith.solver import clear_caches
 from repro.core.pipeline import Verdict, infer_program
 from repro.bench.programs import BenchProgram
+from repro.lang.to_arith import reset_fresh
+from repro.seplog.heap import reset_fresh_ptrs
 
 
 class AnalysisTimeout(Exception):
@@ -108,21 +113,28 @@ def _cold_start() -> None:
     verdict, same solver statistics -- to the same run in a freshly forked
     shard worker, which is what makes ``jobs=N`` tables reproducible.
 
+    Every call runs a full ``gc.collect()``.  After it, at most once per
+    process, the survivors -- by then mostly the import graph of this
+    package, scipy and numpy -- are moved to the permanent generation with
+    ``gc.freeze()``, so later collections walk only what analyses
+    allocated since (forked shard workers inherit the frozen set).  The
+    freeze is skipped, and retried at the next cold start, while any
+    formula node created after this module's import is still interned: a
+    frozen object is never examined by the collector again, so one that
+    later turns into cyclic garbage is never reclaimed, and a formula it
+    held would stay interned for the rest of the process -- the history
+    dependence this function exists to remove.
+
     The persistent spec store (:mod:`repro.store`) is deliberately *not*
     touched here: it lives on disk, keyed by structural fingerprints that
     are independent of process history (the counter resets above are in
     fact what keeps fingerprints of generated names reproducible), so a
     warm run replays exactly what a cold run would have computed.
     """
-    import gc
-
-    from repro.arith.formula import reset_fresh_names
-    from repro.arith.solver import clear_caches
-    from repro.lang.to_arith import reset_fresh
-    from repro.seplog.heap import reset_fresh_ptrs
-
     clear_caches()
     gc.collect()
+    if gc.get_freeze_count() == 0 and intern_table_size() <= _IMPORT_INTERNED:
+        gc.freeze()
     reset_fresh_names()
     reset_fresh()
     reset_fresh_ptrs()
@@ -269,7 +281,11 @@ def run_tool(
     reset, automatic gc held for the run): per-run solver statistics then
     depend only on the program analyzed, never on which runs happened
     earlier in the same process -- which is what makes sharded
-    (``jobs > 1``) tables identical to sequential ones.  An analyzer
+    (``jobs > 1``) tables identical to sequential ones.  The first cold
+    start that finds no analysis formula still interned also freezes the
+    surviving objects (``gc.freeze()``, once per process), so later
+    collections skip the import graph; objects frozen then and turned into
+    cyclic garbage later are never reclaimed.  An analyzer
     configured with a persistent spec store is the one sanctioned
     exception: its on-disk entries survive cold start by design, so a
     repeat run reports ``store_hits`` instead of redoing inference.
@@ -279,8 +295,6 @@ def run_tool(
     processes, where the *parent* enforces the wall clock by
     ``join(timeout)`` + kill.
     """
-    import gc
-
     program = bench.program()
     _cold_start()
     if on_start is not None:
@@ -594,3 +608,9 @@ def tally_solver_stats(outcomes: List[BenchOutcome]) -> Dict[str, object]:
     agg["runs_reporting"] = reported
     agg["hit_rate"] = agg["hits"] / agg["queries"] if agg["queries"] else 0.0
     return agg
+
+
+#: Interned formula nodes alive once this module has imported: the ones
+#: the imports themselves create.  :func:`_cold_start` freezes only when
+#: no more than these are interned, so no analysis formula is ever frozen.
+_IMPORT_INTERNED = intern_table_size()
