@@ -140,30 +140,32 @@ def test_bench_warm_context_entailment(benchmark):
 # Parallel wave-scheduler micro benchmark
 # ---------------------------------------------------------------------------
 
-# A diamond condensation whose two middle SCCs are each a McCarthy-91
-# variant with a symbolic decrement -- heavy enough (around a second each)
-# that analyzing them concurrently amortises worker startup.  Variable
-# names are disjoint per branch so the branches share no solver state.
+# A diamond condensation whose two middle SCCs are each an Ackermann
+# function without a spec -- heavy enough (around two seconds each) that
+# analyzing them concurrently amortises worker startup.  Variable names
+# are disjoint per branch so the branches share no solver state.
 PARALLEL_DIAMOND = """
 int base(int n)
 { if (n <= 0) { return 0; } else { return base(n - 1); } }
 
-int McL(int nl, int dl)
+int AckL(int ml, int nl)
 {
-  if (nl > 100) { return nl - dl; }
-  else { return McL(McL(nl + 11, dl), dl); }
+  if (ml == 0) { return nl + 1; }
+  else { if (nl == 0) { return AckL(ml - 1, 1); }
+         else { return AckL(ml - 1, AckL(ml, nl - 1)); } }
 }
 
-int McR(int nr, int dr)
+int AckR(int mr, int nr)
 {
-  if (nr > 100) { return nr - dr; }
-  else { return McR(McR(nr + 11, dr), dr); }
+  if (mr == 0) { return nr + 1; }
+  else { if (nr == 0) { return AckR(mr - 1, 1); }
+         else { return AckR(mr - 1, AckR(mr, nr - 1)); } }
 }
 
 void top(int t, int s) {
   base(t);
-  int u = McL(t, s);
-  int v = McR(t, s);
+  int u = AckL(t, s);
+  int v = AckR(t, s);
   return;
 }
 """
@@ -430,6 +432,28 @@ def test_perf_guard_fm_builds_no_intermediate_linexpr(monkeypatch):
         made.clear()
         projected = fm.project_cube(cube, keep=keep)
         assert projected and len(made) <= len(projected)
+
+
+@pytest.mark.perf_guard
+def test_perf_guard_farkas_rows_intern_no_linexpr():
+    """Counted, not timed: the Farkas encoding builds its LP rows as plain
+    dicts, so encoding an implication over a cube interns no
+    :class:`LinExpr`, however many dimensions and multipliers it has."""
+    from repro.arith.farkas import LPProblem, add_implication
+    from repro.arith.formula import atom_eq, atom_le
+    from repro.arith.terms import LinExpr
+
+    a, b, c = (var(n) for n in "abc")
+    cube = [
+        atom_le(a.scale(2) - b, 3), atom_le(b + c, 5),
+        atom_eq(a - c, 1), atom_le(-a, 0),
+    ]
+    target = {"a": ({"t.a": 1}, 0), "b": ({"t.b": -1}, 2)}
+    before = len(LinExpr._intern)
+    lp = LPProblem()
+    add_implication(lp, cube, ["a", "b", "c"], target, ({"t.0": 1}, -1), "g")
+    assert len(lp.variables) == 8  # 5 multipliers, 3 template unknowns
+    assert len(LinExpr._intern) == before
 
 
 @pytest.mark.perf_guard

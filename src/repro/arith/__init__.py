@@ -15,8 +15,8 @@ by the original HipTNT+ artifact.  Everything is computed with exact
   projection (quantifier elimination) and simplification (a thin facade
   over a default context).
 * :mod:`repro.arith.farkas` -- Farkas'-lemma encodings used by ranking
-  function synthesis and abductive inference (LP solved via scipy, results
-  rationalised and re-verified exactly).
+  function synthesis and abductive inference (LP solved by scipy's bundled
+  HiGHS, results rationalised and re-verified exactly).
 """
 
 from repro.arith.terms import LinExpr, var, const

@@ -131,10 +131,12 @@ def _cold_start() -> None:
     fact what keeps fingerprints of generated names reproducible), so a
     warm run replays exactly what a cold run would have computed.
     """
+    global _frozen
     clear_caches()
     gc.collect()
-    if gc.get_freeze_count() == 0 and intern_table_size() <= _IMPORT_INTERNED:
+    if not _frozen and intern_table_size() <= _IMPORT_INTERNED:
         gc.freeze()
+        _frozen = True
     reset_fresh_names()
     reset_fresh()
     reset_fresh_ptrs()
@@ -614,3 +616,8 @@ def tally_solver_stats(outcomes: List[BenchOutcome]) -> Dict[str, object]:
 #: the imports themselves create.  :func:`_cold_start` freezes only when
 #: no more than these are interned, so no analysis formula is ever frozen.
 _IMPORT_INTERNED = intern_table_size()
+
+#: Whether :func:`_cold_start` has frozen this process's survivors (forked
+#: shard workers inherit it with the frozen set).  A flag, because
+#: ``gc.get_freeze_count()`` walks the whole permanent generation.
+_frozen = False

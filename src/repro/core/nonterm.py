@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.arith.farkas import LPProblem, polyhedron_rows
+from repro.arith.farkas import LPProblem, add_implication
 from repro.arith.formula import (
     Atom,
     FALSE,
@@ -205,7 +205,6 @@ def _template_abduction(
     const = "abd.c0"
     impl = 0
     for cube in ctx_cubes:
-        rows = polyhedron_rows(cube)
         for atom in beta_atoms:
             # atom: w.x + k <= 0  i.e.  w.x <= -k  ->  g = w, d = -k
             targets = [(atom.expr.coeffs, -atom.expr.constant)]
@@ -215,32 +214,17 @@ def _template_abduction(
                      atom.expr.constant)
                 )
             for g_coeffs, d_val in targets:
-                lams = [f"l{impl}.{k}" for k in range(len(rows))]
-                for name in lams:
-                    lp.set_nonneg(name)
-                dims: Set[str] = set(subset) | set(g_coeffs)
-                for r_coeffs, _b in rows:
-                    dims |= set(r_coeffs)
-                for x in sorted(dims):
-                    # sum_k lam_k A[k][x]  - a_x [x in subset]  - g[x] = 0
-                    expr = LinExpr()
-                    for (r_coeffs, _b), lam in zip(rows, lams):
-                        c = r_coeffs.get(x, Fraction(0))
-                        if c != 0:
-                            expr = expr + LinExpr({lam: c})
-                    if x in coeff:
-                        # alpha row "-a.x <= a0" with multiplier fixed to 1
-                        expr = expr + LinExpr({coeff[x]: -1})
-                    gx = g_coeffs.get(x, Fraction(0))
-                    if gx != 0:
-                        expr = expr - LinExpr({}, gx)
-                    lp.add_eq(expr)
-                # constant side: lambda^T b + a0 <= d
-                expr = LinExpr({const: 1})
-                for (_r, b), lam in zip(rows, lams):
-                    if b != 0:
-                        expr = expr + LinExpr({lam: b})
-                lp.add_le(expr - LinExpr({}, d_val))
+                # cube /\ alpha => g.x <= d, with alpha's row "-a.x <= a0"
+                # moved to the target side (its multiplier fixed to 1):
+                #   cube => (g + a).x <= d - a0
+                target = {
+                    x: ({coeff[x]: 1} if x in coeff else {}, g_coeffs.get(x, 0))
+                    for x in set(subset) | set(g_coeffs)
+                }
+                add_implication(
+                    lp, cube, list(target), target, ({const: -1}, d_val),
+                    prefix=f"l{impl}",
+                )
                 impl += 1
     objective = lp.abs_objective(list(coeff.values()) + [const])
     solution = lp.solve(objective=objective, bound=100)

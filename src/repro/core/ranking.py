@@ -24,7 +24,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arith.context import SolverContext, resolve
-from repro.arith.farkas import LPProblem, add_implication, instantiate, template
+from repro.arith.farkas import (
+    Affine,
+    LPProblem,
+    add_implication,
+    instantiate,
+    template,
+)
 from repro.arith.formula import Atom, Formula, atom_ge, atom_le, conj
 from repro.arith.solver import dnf_disjuncts
 from repro.arith.terms import LinExpr, var
@@ -47,6 +53,17 @@ def _rank_at(template_coeffs: Dict[str, LinExpr], args: Sequence[str],
 
 def _instantiated(rank: LinExpr, formals: Sequence[str], args: Sequence[str]) -> LinExpr:
     return rank.substitute({f: var(a) for f, a in zip(formals, args)})
+
+
+def _target_coeffs(terms: Sequence[Tuple[str, str, int]]) -> Dict[str, Affine]:
+    """Farkas target coefficients ``{arg: sum sign*unknown}`` from
+    ``(arg, template unknown, sign)`` terms; an argument passed for
+    several formals sums their unknowns."""
+    out: Dict[str, Dict[str, int]] = {}
+    for arg, unknown, sign in terms:
+        row = out.setdefault(arg, {})
+        row[unknown] = row.get(unknown, 0) + sign
+    return {arg: (row, 0) for arg, row in out.items()}
 
 
 def _normalise(rank: LinExpr) -> LinExpr:
@@ -163,10 +180,25 @@ class RankSynthesizer:
             dst_names, dst_c0 = coeff_names[edge.dst]
             src_full = self.pair_args[edge.src]
             dst_full = self.pair_args[edge.dst]
-            src_formals = [src_full[i] for i in keep_idx[edge.src]]
-            dst_formals = [dst_full[i] for i in keep_idx[edge.dst]]
-            src_args = [edge.src_args[i] for i in keep_idx[edge.src]]
-            dst_args = [edge.dst_args[i] for i in keep_idx[edge.dst]]
+            src_terms = [
+                (edge.src_args[i], src_names[src_full[i]], -1)
+                for i in keep_idx[edge.src]
+            ]
+            dst_terms = [
+                (edge.dst_args[i], dst_names[dst_full[i]], 1)
+                for i in keep_idx[edge.dst]
+            ]
+            # bounded: rho => r_src(src_args) >= 0, required on the edges
+            # where this component is the deciding (strictly decreasing)
+            # one -- the standard lexicographic condition
+            g_bound = _target_coeffs(src_terms)
+            # decrease: rho => r_src - r_dst >= delta
+            #   i.e.  sum c_dst_j*arg'_j - sum c_src_i*arg_i
+            #           <= -delta + c0_src - c0_dst
+            delta = 1 if idx in strict_edges else 0
+            g_dec = _target_coeffs(src_terms + dst_terms)
+            d_coeffs = {src_c0: 1}  # c0_src - c0_dst: zero on a self-edge
+            d_coeffs[dst_c0] = d_coeffs.get(dst_c0, 0) - 1
             for cube in _edge_cubes(edge, self.ctx):
                 xs = sorted(
                     set(edge.src_args)
@@ -175,33 +207,15 @@ class RankSynthesizer:
                     if cube
                     else set(edge.src_args) | set(edge.dst_args)
                 )
-                # bounded: rho => r_src(src_args) >= 0, required on the
-                # edges where this component is the deciding (strictly
-                # decreasing) one -- the standard lexicographic condition
                 if idx in strict_edges:
-                    g_bound: Dict[str, LinExpr] = {}
-                    for f, a in zip(src_formals, src_args):
-                        g_bound[a] = g_bound.get(a, LinExpr()) + LinExpr(
-                            {src_names[f]: -1}
-                        )
                     add_implication(
-                        lp, cube, xs, g_bound, LinExpr({src_c0: 1}),
+                        lp, cube, xs, g_bound, ({src_c0: 1}, 0),
                         prefix=f"b{impl_id}",
                     )
                 impl_id += 1
-                # decrease: rho => r_src - r_dst >= delta
-                #   i.e.  sum c_dst_j*arg'_j - sum c_src_i*arg_i
-                #           <= -delta + c0_src - c0_dst
-                delta = 1 if idx in strict_edges else 0
-                g_dec: Dict[str, LinExpr] = {}
-                for f, a in zip(src_formals, src_args):
-                    g_dec[a] = g_dec.get(a, LinExpr()) + LinExpr({src_names[f]: -1})
-                for f, a in zip(dst_formals, dst_args):
-                    g_dec[a] = g_dec.get(a, LinExpr()) + LinExpr({dst_names[f]: 1})
-                d_const = (
-                    LinExpr({src_c0: 1}) - LinExpr({dst_c0: 1}) + LinExpr({}, -delta)
+                add_implication(
+                    lp, cube, xs, g_dec, (d_coeffs, -delta), prefix=f"d{impl_id}"
                 )
-                add_implication(lp, cube, xs, g_dec, d_const, prefix=f"d{impl_id}")
                 impl_id += 1
         solution = lp.solve()
         if solution is None:

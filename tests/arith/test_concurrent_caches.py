@@ -1,6 +1,7 @@
 """Long-lived-process concurrency: solver caches under concurrent
-readers and cache clears, the thread-safe default context, and the
-telemetry surface the serve daemon exposes.
+readers and cache clears, the thread-safe default context, Farkas LP
+solves from two threads at once, and the telemetry surface the serve
+daemon exposes.
 
 These are the satellite regressions for the analysis daemon: its worker
 threads hammer the shared caches while (in tooling or tests)
@@ -9,6 +10,7 @@ threads hammer the shared caches while (in tooling or tests)
 readers finish against the stale-but-valid cache generation; no reader
 ever observes a half-cleared structure or a wrong answer."""
 
+import sys
 import threading
 
 from repro.arith.formula import atom_ge, atom_le, atom_lt, conj, disj
@@ -109,6 +111,50 @@ class TestDefaultContextRace:
         finally:
             with context_module._DEFAULT_CONTEXT_LOCK:
                 context_module._DEFAULT_CONTEXT = saved
+
+
+class TestConcurrentLPSolves:
+    def test_two_threads_solving_get_the_sequential_answers(self):
+        """The daemon's two analysis threads solve Farkas LPs at once:
+        each solve owns its HiGHS instance, and the shared options object
+        is only read, so every answer equals the sequential one."""
+        from lp_traffic import registry_lps
+
+        from repro.arith import farkas
+
+        def options():
+            return [getattr(farkas._OPTIONS, name)
+                    for name in ("presolve", "simplex_strategy", "output_flag")]
+
+        lps = registry_lps()
+        expected = [c.lp.solve(c.objective, c.bound) for c in lps]
+        before = options()
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def solver(key, order):
+            barrier.wait()
+            results[key] = {i: lps[i].lp.solve(lps[i].objective, lps[i].bound)
+                            for i in order}
+
+        order = list(range(len(lps)))
+        threads = [
+            threading.Thread(target=solver, args=("forward", order)),
+            threading.Thread(target=solver, args=("backward", order[::-1])),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for key in ("forward", "backward"):
+            assert [results[key][i] for i in order] == expected, key
+        assert options() == before
 
 
 class TestTelemetry:

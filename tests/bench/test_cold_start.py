@@ -83,3 +83,26 @@ def test_cold_start_is_history_independent():
     print(json.dumps(observe({name!r})))
     """))
         assert seen == fresh, name
+
+
+def test_cold_start_after_the_freeze_does_not_count_frozen_objects():
+    """``gc.get_freeze_count()`` walks the whole permanent generation, so
+    once the freeze has happened a cold start must not ask for it."""
+    out = run_python("""
+        import gc
+        from repro.bench.programs import by_name
+        from repro.bench.runner import HipTNTPlus, _cold_start, run_tool
+
+        bench = by_name("foo-paper")
+        run_tool(HipTNTPlus(bench.main), bench)
+        frozen = gc.get_freeze_count()
+
+        def forbidden():
+            raise AssertionError("gc.get_freeze_count() called")
+
+        gc.get_freeze_count = forbidden
+        _cold_start()
+        run_tool(HipTNTPlus(bench.main), bench)
+        print(frozen)
+    """)
+    assert int(out) > 0
