@@ -16,7 +16,7 @@ import pytest
 
 from repro.arith.context import SolverContext
 from repro.arith.formula import atom_eq, atom_ge, atom_lt, conj
-from repro.arith.solver import clear_caches, entails, is_sat
+from repro.arith.solver import clear_caches
 from repro.arith.terms import var
 from repro.core import infer_source
 from repro.core.ranking import RankSynthesizer
@@ -41,7 +41,7 @@ x, y = var("x"), var("y")
 
 
 def test_bench_entailment(benchmark):
-    ctx = conj(
+    pre = conj(
         atom_ge(x, 0), atom_lt(y, 0),
         atom_eq(var("x'"), x + y), atom_eq(var("y'"), y),
     )
@@ -49,7 +49,7 @@ def test_bench_entailment(benchmark):
 
     def run():
         clear_caches()
-        return entails(ctx, goal)
+        return SolverContext().entails(pre, goal)
 
     assert benchmark(run)
 
@@ -65,21 +65,22 @@ def test_bench_sat_disjunctive(benchmark):
 
     def run():
         clear_caches()
-        return is_sat(f)
+        return SolverContext().is_sat(f)
 
     assert benchmark(run)
 
 
 def test_bench_ranking_synthesis(benchmark):
-    ctx = conj(
+    pre = conj(
         atom_ge(x, 0), atom_lt(y, 0),
         atom_eq(var("x'"), x + y), atom_eq(var("y'"), y),
         atom_ge(var("x'"), 0),
     )
-    edge = Edge("U", "U", ctx, ("x", "y"), ("x'", "y'"))
+    edge = Edge("U", "U", pre, ("x", "y"), ("x'", "y'"))
+    ctx = SolverContext()
 
     def run():
-        s = RankSynthesizer({"U": ("x", "y")})
+        s = RankSynthesizer({"U": ("x", "y")}, ctx)
         return s.synthesize_linear(["U"], [edge])
 
     assert benchmark(run) is not None

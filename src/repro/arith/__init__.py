@@ -9,11 +9,12 @@ by the original HipTNT+ artifact.  Everything is computed with exact
   existential quantifiers, with NNF/DNF conversions.
 * :mod:`repro.arith.fm` -- Fourier-Motzkin variable elimination over
   conjunctions of linear constraints.
-* :mod:`repro.arith.context` -- incremental solver contexts: LRU-bounded
-  caches with statistics and push/pop assumption stacks.
-* :mod:`repro.arith.solver` -- satisfiability, validity, entailment,
-  projection (quantifier elimination) and simplification (a thin facade
-  over a default context).
+* :mod:`repro.arith.context` -- solver contexts: satisfiability,
+  validity, entailment, projection (quantifier elimination) and
+  simplification behind LRU-bounded caches with statistics and push/pop
+  assumption stacks.  Callers create a context and pass it explicitly.
+* :mod:`repro.arith.solver` -- the process-wide DNF and FM memos:
+  ``clear_caches``, ``cache_telemetry`` and ``dnf_disjuncts``.
 * :mod:`repro.arith.farkas` -- Farkas'-lemma encodings used by ranking
   function synthesis and abductive inference (LP solved by scipy's bundled
   HiGHS, results rationalised and re-verified exactly).
@@ -37,23 +38,12 @@ from repro.arith.formula import (
     atom_gt,
     atom_ne,
 )
-from repro.arith.context import SolverContext, SolverStats, default_context
-from repro.arith.solver import (
-    clear_caches,
-    is_sat,
-    is_unsat,
-    is_valid,
-    entails,
-    equivalent,
-    project,
-    simplify,
-    dnf_disjuncts,
-)
+from repro.arith.context import SolverContext, SolverStats
+from repro.arith.solver import clear_caches, dnf_disjuncts
 
 __all__ = [
     "SolverContext",
     "SolverStats",
-    "default_context",
     "clear_caches",
     "LinExpr",
     "var",
@@ -73,12 +63,5 @@ __all__ = [
     "atom_ge",
     "atom_gt",
     "atom_ne",
-    "is_sat",
-    "is_unsat",
-    "is_valid",
-    "entails",
-    "equivalent",
-    "project",
-    "simplify",
     "dnf_disjuncts",
 ]

@@ -33,14 +33,14 @@ Every leaf it does reach is the cube eager expansion would build, in the
 same order, and the DNF cap raises on the same formulas.  Projection,
 models and simplification need cube lists and still call :func:`to_dnf`.
 
-The module-level functions in :mod:`repro.arith.solver` remain available
-as a thin facade over a process-wide default context, so existing callers
-keep working unchanged.
+There is no process-wide context.  Every query goes to a context its
+caller made at an entry point (``infer_program`` makes one per SCC) and
+passed down explicitly, so a context's caches live no longer than the
+run that made it.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,6 +65,9 @@ from repro.arith.formula import (
     to_dnf,
 )
 from repro.arith.lru import LRUCache
+
+#: Capacity of each of a context's sat, entailment and projection caches.
+CACHE_SIZE = 200_000
 
 #: Maximum number of assumption cubes kept by the incremental product;
 #: beyond this the context falls back to monolithic conjunction queries.
@@ -161,15 +164,11 @@ class SolverContext:
     hit the context's caches instead of redoing Fourier-Motzkin work.
     """
 
-    def __init__(
-        self,
-        cache_size: int = 200_000,
-        stats: Optional[SolverStats] = None,
-    ):
+    def __init__(self, stats: Optional[SolverStats] = None):
         self.stats = stats if stats is not None else SolverStats()
-        self._sat = LRUCache(cache_size, self.stats)
-        self._entail = LRUCache(cache_size, self.stats)
-        self._project = LRUCache(cache_size, self.stats)
+        self._sat = LRUCache(CACHE_SIZE, self.stats)
+        self._entail = LRUCache(CACHE_SIZE, self.stats)
+        self._project = LRUCache(CACHE_SIZE, self.stats)
         self._frames: List[_Frame] = [_Frame()]
         self._fm_depth = 0  # re-entrancy guard for FM-work attribution
 
@@ -437,8 +436,12 @@ class SolverContext:
     # -- simplification -----------------------------------------------------
 
     def simplify(self, p: Formula) -> Formula:
-        """Semantic simplification via DNF (see
-        :func:`repro.arith.solver.simplify`)."""
+        """Semantic simplification via DNF.
+
+        Drops unsatisfiable cubes, removes atoms implied by the rest of
+        their cube, and removes cubes subsumed by other cubes.  The result
+        is equivalent to the input (over the solver's integer
+        semantics)."""
         try:
             cubes = to_dnf(p)
         except MemoryError:
@@ -497,21 +500,14 @@ class SolverContext:
         context: the underlying :class:`~repro.arith.lru.LRUCache` swaps
         its backing dict rather than clearing it in place, so concurrent
         readers finish against the old (stale but valid) memo and the
-        next probe sees the empty one.  See
-        :func:`repro.arith.solver.clear_caches` for the process-wide
-        contract."""
+        next probe sees the empty one.  The process-wide DNF and FM memos
+        are cleared separately, by
+        :func:`repro.arith.solver.clear_caches`."""
         self._sat.clear()
         self._entail.clear()
         self._project.clear()
         if reset_stats:
             self.stats.reset()
-
-    def cache_sizes(self) -> Dict[str, int]:
-        return {
-            "sat": len(self._sat),
-            "entail": len(self._entail),
-            "project": len(self._project),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -577,31 +573,3 @@ def _walk(pending, cube: List[Atom], table: "fm.BoundsTable",
     finally:
         del cube[cube_mark:]
         fm.undo_bounds(table, trail, trail_mark)
-
-
-# ---------------------------------------------------------------------------
-# Default context (backs the repro.arith.solver module-level facade)
-# ---------------------------------------------------------------------------
-
-_DEFAULT_CONTEXT: Optional[SolverContext] = None
-_DEFAULT_CONTEXT_LOCK = threading.Lock()
-
-
-def default_context() -> SolverContext:
-    """The process-wide context used when callers pass ``ctx=None``.
-
-    Lazily constructed under a lock: two threads racing the first call
-    (daemon workers warming up concurrently) must agree on one context,
-    or half the process would populate caches the other half never
-    probes."""
-    global _DEFAULT_CONTEXT
-    if _DEFAULT_CONTEXT is None:
-        with _DEFAULT_CONTEXT_LOCK:
-            if _DEFAULT_CONTEXT is None:
-                _DEFAULT_CONTEXT = SolverContext()
-    return _DEFAULT_CONTEXT
-
-
-def resolve(ctx: Optional[SolverContext]) -> SolverContext:
-    """*ctx* itself, or the default context when ``None``."""
-    return ctx if ctx is not None else default_context()

@@ -19,8 +19,8 @@ success rule, so every answer is the one ``linprog`` would give -- without
 its input cleaning, dense stacking and per-option checks, which cost more
 than the solve itself.  Solutions are rationalised with bounded
 denominators and **must be re-verified exactly** by the callers through
-:func:`repro.arith.solver.entails` -- floating point never enters the
-trusted path.
+:meth:`repro.arith.context.SolverContext.entails` -- floating point
+never enters the trusted path.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Fourier-Motzkin elimination over conjunctions of linear atoms.
 
 This is the engine behind satisfiability, entailment and projection in
-:mod:`repro.arith.solver`.  All arithmetic is exact and on integers: a cube
+:mod:`repro.arith.context`.  All arithmetic is exact and on integers: a cube
 is converted once into dense integer rows (variables indexed in sorted-name
 order, the constant last, see :data:`Row`), and substitution, bound
 pairing, tightening, deduplication and the cheapest-first ordering all run

@@ -697,7 +697,7 @@ def to_nnf(p: Formula, negate: bool = False) -> Formula:
         if negate:
             raise ValueError(
                 "negation over exists is outside the supported fragment; "
-                "eliminate the quantifier (arith.solver.project) first"
+                "eliminate the quantifier (SolverContext.project) first"
             )
         return exists(p.bound, to_nnf(p.body))
     raise TypeError(f"unknown formula node {type(p).__name__}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.arith.context import SolverContext
 from repro.core.ranking import RankSynthesizer
 from repro.core.reachgraph import Edge, ReachGraph
 from repro.core.specs import DefStore
@@ -33,6 +34,7 @@ class MonolithicTerminationProver:
 
     def __init__(self, program: Program, desugared: bool = False):
         self.program = program if desugared else desugar_program(program)
+        self.ctx = SolverContext()
 
     def collect_edges(self) -> Optional[Dict[str, List[Edge]]]:
         """Recursion edges per call-graph SCC key; None when the program
@@ -47,7 +49,9 @@ class MonolithicTerminationProver:
             if not methods or not is_recursive_scc(self.program, scc):
                 continue
             pairs = {m.name: f"B0@{m.name}" for m in methods}
-            verifier = Verifier(self.program, pairs=pairs, solved={})
+            verifier = Verifier(
+                self.program, pairs=pairs, solved={}, ctx=self.ctx
+            )
             store_args = {
                 pairs[m.name]: tuple(m.param_names) for m in methods
             }
@@ -85,7 +89,7 @@ class MonolithicTerminationProver:
         groups = self.collect_edges()
         if groups is None:
             return None
-        synth = RankSynthesizer(self._pair_args)
+        synth = RankSynthesizer(self._pair_args, self.ctx)
         for _key, edges in groups.items():
             if not edges:
                 continue

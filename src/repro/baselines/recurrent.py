@@ -28,7 +28,7 @@ from repro.arith.formula import (
     disj,
     neg,
 )
-from repro.arith.solver import entails, is_sat, project, simplify
+from repro.arith.context import SolverContext
 from repro.arith.terms import var
 from repro.core.predicates import PostRef, PreRef
 from repro.core.reachgraph import Edge
@@ -46,6 +46,7 @@ class RecurrentSetProver:
 
     def __init__(self, program: Program, desugared: bool = False):
         self.program = program if desugared else desugar_program(program)
+        self.ctx = SolverContext()
 
     # -- data collection ------------------------------------------------------
 
@@ -62,7 +63,9 @@ class RecurrentSetProver:
             if method.body is None:
                 continue
             pair = f"R0@{name}"
-            verifier = Verifier(self.program, pairs={name: pair}, solved={})
+            verifier = Verifier(
+                self.program, pairs={name: pair}, solved={}, ctx=self.ctx
+            )
             try:
                 ma = verifier.collect(method)
             except VerifierError:
@@ -79,7 +82,7 @@ class RecurrentSetProver:
                 if any(isinstance(p, PostRef) for _g, p in t.entries):
                     continue
                 try:
-                    exit_regions.append(project(t.ctx, keep=set(params)))
+                    exit_regions.append(self.ctx.project(t.ctx, keep=set(params)))
                 except MemoryError:
                     exit_regions.append(TRUE)
             out.append((params, edges, disj(*exit_regions)))
@@ -87,8 +90,8 @@ class RecurrentSetProver:
 
     # -- candidate checking ---------------------------------------------------
 
-    @staticmethod
-    def _closed(region: Formula, edges: Sequence[Edge], params: Tuple[str, ...]) -> bool:
+    def _closed(self, region: Formula, edges: Sequence[Edge],
+                params: Tuple[str, ...]) -> bool:
         """Every feasible edge from *region* lands back in *region*."""
         any_feasible = False
         for e in edges:
@@ -98,18 +101,18 @@ class RecurrentSetProver:
             dst_inst = region.substitute(
                 {p: var(a) for p, a in zip(params, e.dst_args)}
             )
-            if not is_sat(conj(e.ctx, src_inst)):
+            if not self.ctx.is_sat(conj(e.ctx, src_inst)):
                 continue
             any_feasible = True
-            if not entails(conj(e.ctx, src_inst), dst_inst):
+            if not self.ctx.entails(conj(e.ctx, src_inst), dst_inst):
                 return False
         return any_feasible
 
     def _witnesses(self, region: Formula, edges: Sequence[Edge],
                    exits: Formula, params: Tuple[str, ...]) -> bool:
-        if not is_sat(region):
+        if not self.ctx.is_sat(region):
             return False
-        if is_sat(conj(region, exits)):
+        if self.ctx.is_sat(conj(region, exits)):
             return False
         return self._closed(region, edges, params)
 
@@ -118,7 +121,7 @@ class RecurrentSetProver:
         cands: List[Formula] = [neg(exits)]
         for e in edges:
             try:
-                guard = project(e.ctx, keep=set(e.src_args))
+                guard = self.ctx.project(e.ctx, keep=set(e.src_args))
             except MemoryError:
                 continue
             renamed = guard.rename(dict(zip(e.src_args, params)))
@@ -141,7 +144,7 @@ class RecurrentSetProver:
         """Bounded greatest-fixpoint of the universal predecessor."""
         region = neg(exits)
         for _ in range(MAX_GFP_ITER):
-            if not is_sat(region):
+            if not self.ctx.is_sat(region):
                 return None
             if self._witnesses(region, edges, exits, params):
                 return region
@@ -154,7 +157,7 @@ class RecurrentSetProver:
                     {p: var(a) for p, a in zip(params, e.dst_args)}
                 )
                 try:
-                    bad = project(
+                    bad = self.ctx.project(
                         conj(e.ctx, src_inst, neg(dst_inst)),
                         keep=set(e.src_args),
                     )
@@ -163,7 +166,7 @@ class RecurrentSetProver:
                 refined = conj(
                     refined, neg(bad.rename(dict(zip(e.src_args, params))))
                 )
-            refined = simplify(refined)
+            refined = self.ctx.simplify(refined)
             if refined == region:
                 return None
             region = refined
@@ -182,7 +185,7 @@ class RecurrentSetProver:
             if not edges:
                 continue
             for cand in self._candidates(edges, exits, params):
-                if self._witnesses(simplify(cand), edges, exits, params):
+                if self._witnesses(self.ctx.simplify(cand), edges, exits, params):
                     return True
             if self._gfp(edges, exits, params) is not None:
                 return True

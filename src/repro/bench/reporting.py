@@ -156,7 +156,7 @@ def fig10_table(
 def _solver_summary(outcomes: List[BenchOutcome]) -> str:
     """One line of aggregated solver-cache statistics, or '' when no run
     reported any (only HipTNT+ sets ``last_stats``; the baselines also do
-    arithmetic, but through the default context, and report nothing)."""
+    arithmetic, but in their own uncounted contexts, and report nothing)."""
     s = tally_solver_stats(outcomes)
     if not s["runs_reporting"]:
         return ""

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.arith.formula import Formula, TRUE, conj
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.core.predicates import (
     Loop,
     MayLoop,
@@ -78,7 +78,8 @@ Assumption = Union[PreAssume, PostAssume]
 def filter_trivial(
     assumptions: Sequence[PreAssume],
     mutually_recursive: Optional[set] = None,
-    ctx: Optional["SolverContext"] = None,
+    *,
+    ctx: SolverContext,
 ) -> List[PreAssume]:
     """Remove trivial pre-assumptions (paper's ``filter`` in [TNT-CALL]).
 
@@ -89,7 +90,6 @@ def filter_trivial(
        caller's SCC: a Term-RHS assumption is kept only if its LHS pair
        belongs to it -- those are base-case-reachability edges).
     """
-    ctx = resolve(ctx)
     out: List[PreAssume] = []
     for a in assumptions:
         if isinstance(a.lhs, (Loop, MayLoop)):
@@ -110,8 +110,7 @@ def filter_trivial(
 
 def filter_post(
     assumptions: Sequence[PostAssume],
-    ctx: Optional["SolverContext"] = None,
+    ctx: SolverContext,
 ) -> List[PostAssume]:
     """Drop post-assumptions with unsatisfiable contexts."""
-    ctx = resolve(ctx)
     return [a for a in assumptions if ctx.is_sat(conj(a.ctx, a.guard))]

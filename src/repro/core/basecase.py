@@ -21,9 +21,9 @@ case and fresh unknown children for each disjunct of ``not beta``
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.formula import FALSE, Formula, TRUE, conj, disj, neg
 from repro.arith.solver import dnf_disjuncts
 from repro.core.assumptions import PostAssume, PreAssume
@@ -39,11 +39,8 @@ from repro.core.specs import Case, DefStore
 from repro.core.verifier import MethodAssumptions
 
 
-def syn_base(
-    ma: MethodAssumptions, ctx: Optional[SolverContext] = None
-) -> Formula:
+def syn_base(ma: MethodAssumptions, ctx: SolverContext) -> Formula:
     """The base-case termination precondition over the method's params."""
-    ctx = resolve(ctx)
     params = set(ma.params)
     recursive_regions: List[Formula] = []
     mayloop_regions: List[Formula] = []
@@ -73,15 +70,12 @@ def syn_base(
     return ctx.simplify(conj(percent, neg(rho)))
 
 
-def exclusive_partition(
-    p: Formula, ctx: Optional[SolverContext] = None
-) -> List[Formula]:
+def exclusive_partition(p: Formula, ctx: SolverContext) -> List[Formula]:
     """Split *p* into satisfiable, mutually exclusive disjuncts covering it.
 
     DNF cubes can overlap; the k-th output disjunct is
     ``cube_k /\\ not cube_1 /\\ ... /\\ not cube_{k-1}``.
     """
-    ctx = resolve(ctx)
     out: List[Formula] = []
     taken: Formula = FALSE
     for cube in dnf_disjuncts(p):
@@ -96,7 +90,7 @@ def refine_base(
     store: DefStore,
     pair: str,
     beta: Formula,
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> None:
     """Refine a pair with its base case; install the new definition.
 
@@ -109,7 +103,6 @@ def refine_base(
     unsatisfiable only the unknown children are produced; when ``beta`` is
     valid the pair resolves to ``Term``/``true`` outright.
     """
-    ctx = resolve(ctx)
     args = store.pair_args[pair]
     cases: List[Case] = []
     if ctx.is_sat(beta):

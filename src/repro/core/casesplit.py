@@ -18,18 +18,16 @@ level.
 from __future__ import annotations
 
 import logging
-from typing import List, Optional
+from typing import List
 
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.formula import FALSE, Formula, TRUE, conj, disj, neg
 from repro.core.specs import Case, DefStore
 
 logger = logging.getLogger(__name__)
 
 
-def split(
-    conditions: List[Formula], ctx: Optional[SolverContext] = None
-) -> List[Formula]:
+def split(conditions: List[Formula], ctx: SolverContext) -> List[Formula]:
     """Partition overlapping conditions into exclusive regions.
 
     The regions are the satisfiable cells of the boolean algebra generated
@@ -38,7 +36,6 @@ def split(
     """
     if not conditions:
         return []
-    ctx = resolve(ctx)
     cells: List[Formula] = [TRUE]
     for c in conditions:
         new_cells: List[Formula] = []
@@ -94,7 +91,7 @@ def subst_unk(
     store: DefStore,
     pair: str,
     conditions: List[Formula],
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> bool:
     """Refine an unknown pair along *conditions* plus their complement.
 
@@ -103,7 +100,6 @@ def subst_unk(
     anything -- the caller then marks the pair ``MayLoop`` via
     ``finalize`` instead of burning an iteration on a no-op restart.
     """
-    ctx = resolve(ctx)
     conditions = _live_conditions(conditions, pair, ctx)
     regions = split(conditions, ctx=ctx)
     if not regions:

@@ -40,7 +40,7 @@ from repro.arith.formula import (
     disj,
     neg,
 )
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.solver import dnf_disjuncts
 from repro.arith.terms import LinExpr, var
 from repro.core.assumptions import PostAssume
@@ -73,7 +73,7 @@ def check_unreachable(
     t: PostAssume,
     scc: Set[str],
     params: Tuple[str, ...],
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> bool:
     """The ``abd_inf`` success check for one post-assumption.
 
@@ -81,7 +81,6 @@ def check_unreachable(
     draws, havoced loop results) may be resolved angelically, so the check
     compares the parameter-projections of both sides.
     """
-    ctx = resolve(ctx)
     context = conj(t.ctx, t.guard)
     if not ctx.is_sat(context):
         return True
@@ -115,7 +114,7 @@ def abduce_conditions(
     t: PostAssume,
     scc: Set[str],
     params: Tuple[str, ...],
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> List[Formula]:
     """Abductive inference of case-split conditions (paper Sec. 5.6).
 
@@ -125,7 +124,6 @@ def abduce_conditions(
     variables is tried first; the weakest precondition (universal
     projection) is the fallback.
     """
-    ctx = resolve(ctx)
     context = conj(t.ctx, t.guard)
     if not ctx.is_sat(context):
         return []
@@ -149,12 +147,11 @@ def _abduce_one(
     context: Formula,
     beta: Formula,
     params: Tuple[str, ...],
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> Optional[Formula]:
     """One abduction: alpha over *params* with context /\\ alpha => beta."""
     # Template search, fewest-variables first (the paper's "optimal
     # constraints ... minimum number of program variables").
-    ctx = resolve(ctx)
     for size in range(1, min(MAX_TEMPLATE_VARS, len(params)) + 1):
         for subset in itertools.combinations(sorted(params), size):
             alpha = _template_abduction(context, beta, subset, ctx)
@@ -177,9 +174,8 @@ def _valid_abduction(
     context: Formula,
     beta: Formula,
     alpha: Formula,
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> bool:
-    ctx = resolve(ctx)
     return (
         ctx.is_sat(conj(context, alpha))
         and ctx.entails(conj(context, alpha), beta)
@@ -190,11 +186,10 @@ def _template_abduction(
     context: Formula,
     beta: Formula,
     subset: Tuple[str, ...],
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> Optional[Formula]:
     """Farkas abduction with template ``a0 + sum a_i v_i >= 0`` over
     *subset*, the template's own multiplier normalised to 1."""
-    ctx = resolve(ctx)
     ctx_cubes = [c for c in dnf_disjuncts(context) if ctx.is_sat(conj(*c))]
     beta_cubes = dnf_disjuncts(beta)
     if not ctx_cubes or len(beta_cubes) != 1:
@@ -247,13 +242,12 @@ def prove_nonterm(
     scc: List[str],
     post_assumptions: Sequence[PostAssume],
     store: DefStore,
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> Tuple[bool, Dict[str, List[Formula]]]:
     """The paper's ``prove_NonTerm``: try to resolve the SCC as
     ``Loop``/``false``; on failure return abduced case-split conditions per
     pair (over the pair's formal parameters).
     """
-    ctx = resolve(ctx)
     members = set(scc)
     all_ok = True
     split_conditions: Dict[str, List[Formula]] = {u: [] for u in scc}

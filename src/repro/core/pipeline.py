@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, TYPE_CHECKING, Union
 
 from repro.arith.context import SolverContext, SolverStats
-from repro.arith.solver import is_sat
 from repro.core.assumptions import filter_post, filter_trivial
 from repro.core.predicates import Loop, MayLoop, Term
 from repro.core.solver import TNTSolver
@@ -112,18 +111,20 @@ class InferenceResult:
     # per-method solver context (the SCC context the method was resolved
     # with), so post-hoc queries such as classification reuse warm caches
     # and are counted in solver_stats; SCCs analysed in a pool worker
-    # have none and classify against the default context
+    # have none and classify in a fresh, uncounted context
     contexts: Optional[Dict[str, SolverContext]] = None
 
     def verdict(self, method: str) -> Verdict:
         ctx = self.contexts.get(method) if self.contexts else None
+        if ctx is None:
+            ctx = SolverContext()
         return classify(self.specs[method], ctx=ctx)
 
     def pretty(self) -> str:
         return "\n\n".join(spec.pretty() for spec in self.specs.values())
 
 
-def classify(spec: CaseSpec, ctx: Optional[SolverContext] = None) -> Verdict:
+def classify(spec: CaseSpec, ctx: SolverContext) -> Verdict:
     """Collapse a case summary to a Y/N/U verdict.
 
     ``Y`` -- every feasible case is ``Term`` (termination for all inputs);
@@ -133,7 +134,7 @@ def classify(spec: CaseSpec, ctx: Optional[SolverContext] = None) -> Verdict:
     has_loop = False
     has_mayloop = False
     for case in spec.cases:
-        if not is_sat(case.guard, ctx):
+        if not ctx.is_sat(case.guard):
             continue
         if isinstance(case.pred, Loop):
             has_loop = True

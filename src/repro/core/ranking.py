@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.farkas import (
     Affine,
     LPProblem,
@@ -39,9 +39,8 @@ from repro.core.reachgraph import Edge
 MAX_LEX_DEPTH = 4
 
 
-def _edge_cubes(edge: Edge, ctx: Optional[SolverContext] = None) -> List[List[Atom]]:
+def _edge_cubes(edge: Edge, ctx: SolverContext) -> List[List[Atom]]:
     """Satisfiable DNF cubes of an edge context."""
-    ctx = resolve(ctx)
     return [c for c in dnf_disjuncts(edge.ctx) if ctx.is_sat(conj(*c))]
 
 
@@ -112,11 +111,11 @@ class RankSynthesizer:
     def __init__(
         self,
         pair_args: Dict[str, Tuple[str, ...]],
-        ctx: Optional[SolverContext] = None,
+        ctx: SolverContext,
         focus: Optional[Dict[str, Tuple[str, ...]]] = None,
     ):
         self.pair_args = pair_args
-        self.ctx = resolve(ctx)
+        self.ctx = ctx
         self.focus = focus or {}
 
     def _focused_indices(self, pair: str) -> Optional[List[int]]:

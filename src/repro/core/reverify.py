@@ -23,9 +23,9 @@ suite asserts it is empty for every program it infers.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.formula import FALSE, Formula, atom_ge, conj, disj, neg
 from repro.arith.terms import var
 from repro.core.pipeline import InferenceResult
@@ -35,9 +35,8 @@ from repro.core.specs import CaseSpec
 
 
 def _check_definition2(
-    spec: CaseSpec, failures: List[str], ctx: Optional[SolverContext] = None
+    spec: CaseSpec, failures: List[str], ctx: SolverContext
 ) -> None:
-    ctx = resolve(ctx)
     guards = [c.guard for c in spec.cases]
     for g in guards:
         if not ctx.is_sat(g):
@@ -52,7 +51,7 @@ def _check_definition2(
 def _term_edges(
     result: InferenceResult,
     method: str,
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ):
     """Recursion edges of *method* by re-running the assumption
     generator against the final summaries."""
@@ -83,9 +82,8 @@ def _check_term_case(
     case,
     edges,
     failures: List[str],
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> None:
-    ctx = resolve(ctx)
     measure = case.pred.measure
     if not measure:
         return  # base-case Term: no decrease obligation
@@ -122,11 +120,10 @@ def _check_term_case(
 
 def _lex_decreases(
     step: Formula, m_src, m_dst, src_map, dst_map,
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> bool:
     from repro.arith.formula import atom_eq
 
-    ctx = resolve(ctx)
     prefix: List[Formula] = []
     for i in range(min(len(m_src), len(m_dst))):
         r_src = m_src[i].rename(src_map)
@@ -148,7 +145,7 @@ def _check_loop_case(
     case,
     edges,
     failures: List[str],
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> None:
     """A Loop case must be closed: every feasible step from inside it must
     land in a region with unreachable exit (Loop/false), and no exit path
@@ -156,7 +153,6 @@ def _check_loop_case(
     from repro.core.predicates import PostRef
     from repro.core.verifier import Verifier, VerifierError
 
-    ctx = resolve(ctx)
     program = result.program
     m = program.methods[spec.method]
     pair = f"RV@{spec.method}"
@@ -204,14 +200,11 @@ def check_resource_side(spec: CaseSpec, failures: List[str]) -> None:
                 failures.append("finite capacity paid for Loop (impossible)")
 
 
-def reverify(
-    result: InferenceResult, ctx: Optional[SolverContext] = None
-) -> List[str]:
+def reverify(result: InferenceResult) -> List[str]:
     """Re-check every method summary; returns failure descriptions.
 
-    One solver context is shared across every per-method check (callers
-    may pass the context used for inference to reuse its caches)."""
-    ctx = resolve(ctx)
+    The checks share one solver context, made here."""
+    ctx = SolverContext()
     failures: List[str] = []
     for method, spec in result.specs.items():
         _check_definition2(spec, failures, ctx=ctx)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.formula import Formula
 from repro.core.assumptions import PostAssume, PreAssume
 from repro.core.basecase import refine_base, syn_base
@@ -71,13 +71,14 @@ class TNTSolver:
         store: DefStore,
         max_iter: int = MAX_ITER,
         time_budget: Optional[float] = 60.0,
-        ctx: Optional[SolverContext] = None,
+        *,
+        ctx: SolverContext,
         rank_focus: Optional[Dict[str, Tuple[str, ...]]] = None,
     ):
         self.store = store
         self.max_iter = max_iter
         self.time_budget = time_budget
-        self.ctx = resolve(ctx)
+        self.ctx = ctx
         # Pre-analysis ranking hints, keyed by method name; forwarded to
         # every RankSynthesizer (focused template first, full fallback).
         self.rank_focus = rank_focus

@@ -10,9 +10,9 @@ to known-``Term``...) are dropped, mirroring the paper's ``filter``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.formula import Formula, TRUE, conj
 from repro.arith.terms import var
 from repro.core.assumptions import PostAssume, PostEntry, PreAssume
@@ -40,10 +40,9 @@ def _instantiate_guard(guard: Formula, formals: Tuple[str, ...], actuals: Tuple[
 def specialize_pre(
     assumptions: List[PreAssume],
     store: DefStore,
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> List[PreAssume]:
     """Specialise pre-assumptions; keep only informative ones."""
-    ctx = resolve(ctx)
     out: List[PreAssume] = []
     for a in assumptions:
         lhs_cases: List[Tuple[Formula, Union[TempPred, str]]]
@@ -97,10 +96,9 @@ def specialize_pre(
 def specialize_post(
     assumptions: List[PostAssume],
     store: DefStore,
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> List[PostAssume]:
     """Specialise post-assumptions; keep only those with an unknown RHS."""
-    ctx = resolve(ctx)
     out: List[PostAssume] = []
     for a in assumptions:
         new_entries: List[PostEntry] = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.arith.formula import Formula, TRUE, conj
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.core.predicates import (
     MAYLOOP,
     POST_TRUE,
@@ -157,14 +157,14 @@ class DefStore:
         self,
         name: str,
         context: Formula = TRUE,
-        ctx: Optional[SolverContext] = None,
+        *,
+        ctx: SolverContext,
     ) -> List[SpecCase]:
         """All resolved leaves under *name* with their accumulated guards.
 
         Unresolved leaves flatten to ``MayLoop`` / reachable -- matching the
         paper's ``finalize`` treatment.
         """
-        ctx = resolve(ctx)
         d = self.defs.get(name)
         if d is None:
             return [SpecCase(ctx.simplify(context), MAYLOOP, POST_TRUE)]
@@ -186,7 +186,8 @@ class DefStore:
         method: str,
         params: Tuple[str, ...],
         context: Formula = TRUE,
-        ctx: Optional[SolverContext] = None,
+        *,
+        ctx: SolverContext,
     ) -> CaseSpec:
         """Final summary; *context* (usually the method's ``requires``)
         restricts the reported cases to inputs the contract admits."""

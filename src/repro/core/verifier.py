@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.formula import Formula, TRUE, atom_eq, conj, neg
 from repro.arith.terms import LinExpr, var
 from repro.core.assumptions import PostAssume, PostEntry, PreAssume
@@ -105,7 +105,7 @@ class Verifier:
         program: Program,
         pairs: Dict[str, str],
         solved: Dict[str, CaseSpec],
-        ctx: Optional[SolverContext] = None,
+        ctx: SolverContext,
     ):
         """*pairs* maps unresolved method names to their unknown pair names;
         *solved* maps resolved method names to their summaries; *ctx* is the
@@ -113,7 +113,7 @@ class Verifier:
         self.program = program
         self.pairs = pairs
         self.solved = solved
-        self.ctx = resolve(ctx)
+        self.ctx = ctx
         self._fresh_counter = itertools.count()
 
     def fresh(self, base: str = "v") -> str:
@@ -346,6 +346,6 @@ def _safe_project(ctx, keep, solver):
     """Projection with a blow-up fallback: keep the unprojected context
     (it mentions more variables but is equivalent, hence still sound)."""
     try:
-        return resolve(solver).project(ctx, keep=set(keep))
+        return solver.project(ctx, keep=set(keep))
     except MemoryError:
         return ctx

@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.arith.context import SolverContext
 from repro.lang import ast
 from repro.lang.ast import (
     Assign,
@@ -93,6 +94,8 @@ class _Desugarer:
         self.program = program
         self.new_methods: Dict[str, Method] = {}
         self.origin_out = origin_out
+        # answers the projections of `requires` onto loop invariants
+        self.ctx = SolverContext()
         self._temp_counter = itertools.count()
         self._loop_counter: Dict[str, itertools.count] = {}
 
@@ -250,10 +253,10 @@ class _Desugarer:
                 - {p.name for p in method.params if p.by_ref}
             )
             if immutable:
-                from repro.arith.solver import project
-
                 try:
-                    projected = project(method.requires, keep=immutable)
+                    projected = self.ctx.project(
+                        method.requires, keep=immutable
+                    )
                     from repro.arith.formula import BoolConst
 
                     if not isinstance(projected, BoolConst):

@@ -29,7 +29,7 @@ from repro.arith.formula import (
     TRUE,
     conj,
 )
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.terms import LinExpr, var
 from repro.lang import ast
 from repro.lang.ast import (
@@ -157,9 +157,9 @@ class _State:
 
 
 class _Abstractor:
-    def __init__(self, program: Program, ctx: Optional[SolverContext] = None):
+    def __init__(self, program: Program, ctx: SolverContext):
         self.program = program
-        self.ctx = resolve(ctx)
+        self.ctx = ctx
         self._fresh = itertools.count()
 
     def fresh_int(self, base: str = "sz") -> str:
@@ -536,9 +536,7 @@ class _Abstractor:
                 formal_to_actual.get(x, x) for x in chunk.ptr_args
             )
             size_name = self._single_var(chunk.size)
-            result = match_instance(
-                heap, chunk.pred, ptr_args, state.aliases, ctx=self.ctx
-            )
+            result = match_instance(heap, chunk.pred, ptr_args, state.aliases)
             if result is None:
                 return None
             heap = result.frame
@@ -652,15 +650,12 @@ def has_heap_statements(method: Method) -> bool:
     return found
 
 
-def abstract_program(
-    program: Program, ctx: Optional[SolverContext] = None
-) -> Program:
+def abstract_program(program: Program, ctx: SolverContext) -> Program:
     """Replace heap methods (those carrying heap specs) by their numeric
     abstractions; pure methods pass through unchanged.
 
     *ctx* is the solver context used for every arithmetic side condition
-    of the abstraction (path feasibility, spec projection, entailment
-    matching)."""
+    of the abstraction (path feasibility, spec projection)."""
     heap_methods = {
         name: m for name, m in program.methods.items() if m.heap_specs
     }

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.arith.context import SolverContext
 from repro.arith.terms import LinExpr, const
 from repro.seplog.heap import NULL, PointsTo, PredInst, SymHeap
 
@@ -52,23 +51,18 @@ def match_instance(
     ptr_args: Tuple[str, ...],
     aliases: Dict[str, str],
     depth: int = MAX_DEPTH,
-    ctx: Optional[SolverContext] = None,
 ) -> Optional[MatchResult]:
     """Establish ``heap |- pred(ptr_args; size) * frame``; compute size.
 
-    *ctx* is the solver context shared with the abstraction engine,
-    threaded through the recursive match so any arithmetic side condition
-    the matcher (or a future lemma) needs is answered from the same
-    incremental cache as the rest of the method's heap analysis.  Matching
-    itself is purely structural: passing or omitting *ctx* never changes
-    the result.
+    Matching is purely structural: it asks the arithmetic solver
+    nothing, so it takes no solver context.
     """
     if depth <= 0:
         return None
     if pred == "cll":
-        return _match_cll(heap, ptr_args[0], aliases, depth, ctx)
+        return _match_cll(heap, ptr_args[0], aliases, depth)
     if pred in ("ll", "lseg"):
-        return _match_segment(heap, pred, ptr_args, aliases, depth, ctx)
+        return _match_segment(heap, pred, ptr_args, aliases, depth)
     return None
 
 
@@ -85,7 +79,6 @@ def _match_segment(
     ptr_args: Tuple[str, ...],
     aliases: Dict[str, str],
     depth: int,
-    ctx: Optional[SolverContext] = None,
 ) -> Optional[MatchResult]:
     root = ptr_args[0]
     # empty instance
@@ -107,7 +100,7 @@ def _match_segment(
         if _canon(q, aliases) == _canon(ptr_args[1], aliases):
             return MatchResult(frame=rest, size=chunk.size)
         sub = _match_segment(
-            rest, pred, (q,) + ptr_args[1:], aliases, depth - 1, ctx
+            rest, pred, (q,) + ptr_args[1:], aliases, depth - 1
         )
         if sub is not None:
             return MatchResult(frame=sub.frame, size=chunk.size + sub.size)
@@ -121,7 +114,7 @@ def _match_segment(
             return None
         rest = heap.without(cell)
         sub = _match_segment(
-            rest, pred, (nxt,) + ptr_args[1:], aliases, depth - 1, ctx
+            rest, pred, (nxt,) + ptr_args[1:], aliases, depth - 1
         )
         if sub is not None:
             return MatchResult(frame=sub.frame, size=sub.size + 1)
@@ -133,7 +126,6 @@ def _match_cll(
     root: str,
     aliases: Dict[str, str],
     depth: int,
-    ctx: Optional[SolverContext] = None,
 ) -> Optional[MatchResult]:
     """``root |-> node(c) * lseg(c, root; m)  |-  cll(root; m+1)``.
 
@@ -154,7 +146,7 @@ def _match_cll(
             return None
         rest = heap.without(cell)
         sub = _match_segment(
-            rest, "lseg", (nxt, canon_root), aliases, depth - 1, ctx
+            rest, "lseg", (nxt, canon_root), aliases, depth - 1
         )
         if sub is not None:
             return MatchResult(frame=sub.frame, size=sub.size + 1)
@@ -172,7 +164,7 @@ def _match_cll(
             continue
         rest = heap.without(chunk)
         sub = _match_segment(
-            rest, "lseg", (canon_root, chunk.loc), aliases, depth - 1, ctx
+            rest, "lseg", (canon_root, chunk.loc), aliases, depth - 1
         )
         if sub is not None:
             return MatchResult(frame=sub.frame, size=sub.size + 1)

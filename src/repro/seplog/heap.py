@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arith.formula import Formula, TRUE, atom_eq, atom_ge, conj
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.terms import LinExpr, var
 
 NULL = "null"
@@ -98,8 +98,8 @@ class SymHeap:
         chunks.remove(chunk)
         return replace(self, chunks=tuple(chunks))
 
-    def consistent(self, ctx: Optional[SolverContext] = None) -> bool:
-        return resolve(ctx).is_sat(self.pure)
+    def consistent(self, ctx: SolverContext) -> bool:
+        return ctx.is_sat(self.pure)
 
     def find_points_to(self, loc: str, aliases: Dict[str, str]) -> Optional[PointsTo]:
         canon = aliases.get(loc, loc)
@@ -201,7 +201,7 @@ def unfold(
     heap: SymHeap,
     inst: PredInst,
     aliases: Dict[str, str],
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> List[Tuple[SymHeap, Dict[str, str]]]:
     """Unfold one predicate instance into its (consistent) case heaps.
 

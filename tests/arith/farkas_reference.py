@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.arith.context import SolverContext, resolve
+from repro.arith.context import SolverContext
 from repro.arith.farkas import polyhedron_rows
 from repro.arith.formula import Atom, Formula, Rel, atom_ge, conj
 from repro.arith.solver import dnf_disjuncts
@@ -201,11 +201,10 @@ def template_abduction(
     context: Formula,
     beta: Formula,
     subset: Tuple[str, ...],
-    ctx: Optional[SolverContext] = None,
+    ctx: SolverContext,
 ) -> Optional[Formula]:
     """Farkas abduction with template ``a0 + sum a_i v_i >= 0`` over
     *subset*, the template's own multiplier normalised to 1."""
-    ctx = resolve(ctx)
     ctx_cubes = [c for c in dnf_disjuncts(context) if ctx.is_sat(conj(*c))]
     beta_cubes = dnf_disjuncts(beta)
     if not ctx_cubes or len(beta_cubes) != 1:

@@ -63,7 +63,7 @@ def _capture() -> Tuple[Tuple[CapturedLP, ...], Tuple[tuple, ...]]:
         solved.append(captured)
         return real_solve(self, objective, bound, **kwargs)
 
-    def template_abduction(context, beta, subset, ctx=None):
+    def template_abduction(context, beta, subset, ctx):
         abductions.append((context, beta, subset))
         return real_abduction(context, beta, subset, ctx)
 

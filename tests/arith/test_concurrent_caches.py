@@ -1,7 +1,6 @@
 """Long-lived-process concurrency: solver caches under concurrent
-readers and cache clears, the thread-safe default context, Farkas LP
-solves from two threads at once, and the telemetry surface the serve
-daemon exposes.
+readers and cache clears, Farkas LP solves from two threads at once, and
+the telemetry surface the serve daemon exposes.
 
 These are the satellite regressions for the analysis daemon: its worker
 threads hammer the shared caches while (in tooling or tests)
@@ -14,7 +13,8 @@ import sys
 import threading
 
 from repro.arith.formula import atom_ge, atom_le, atom_lt, conj, disj
-from repro.arith.solver import cache_telemetry, clear_caches, is_sat
+from repro.arith.context import SolverContext
+from repro.arith.solver import cache_telemetry, clear_caches
 from repro.arith.terms import var
 
 x, y = var("x"), var("y")
@@ -40,9 +40,13 @@ class TestConcurrentClear:
 
         def reader():
             while not stop.is_set():
+                # a fresh context per sweep, as each SCC of a daemon
+                # request gets, so every sweep reaches the process-wide
+                # memos that the clears swap out
+                ctx = SolverContext()
                 for formula, expected in CASES:
                     try:
-                        got = is_sat(formula)
+                        got = ctx.is_sat(formula)
                     except Exception as exc:  # noqa: BLE001
                         failures.append(repr(exc))
                         return
@@ -82,35 +86,6 @@ class TestConcurrentClear:
         for t in threads:
             t.join(30.0)
         assert not failures
-
-
-class TestDefaultContextRace:
-    def test_single_instance_under_concurrent_first_use(self):
-        """default_context() double-checked locking: N threads racing the
-        first call all get the same instance."""
-        import repro.arith.context as context_module
-
-        with context_module._DEFAULT_CONTEXT_LOCK:
-            saved = context_module._DEFAULT_CONTEXT
-            context_module._DEFAULT_CONTEXT = None
-        try:
-            barrier = threading.Barrier(8)
-            seen = []
-
-            def grab():
-                barrier.wait()
-                seen.append(context_module.default_context())
-
-            threads = [threading.Thread(target=grab) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(10.0)
-            assert len(seen) == 8
-            assert len({id(ctx) for ctx in seen}) == 1
-        finally:
-            with context_module._DEFAULT_CONTEXT_LOCK:
-                context_module._DEFAULT_CONTEXT = saved
 
 
 class TestConcurrentLPSolves:
@@ -158,12 +133,9 @@ class TestConcurrentLPSolves:
 
 
 class TestTelemetry:
-    def test_cache_telemetry_shape(self):
+    def test_cache_telemetry_shape(self, ctx):
         for formula, _ in CASES:
-            is_sat(formula)
+            ctx.is_sat(formula)
         telemetry = cache_telemetry()
-        assert set(telemetry) == {
-            "default_context", "dnf", "fm", "interned_formulas",
-        }
+        assert set(telemetry) == {"dnf", "fm", "interned_formulas"}
         assert telemetry["interned_formulas"] > 0
-        assert telemetry["default_context"]["sat"] >= 1

@@ -3,15 +3,10 @@ push/pop assumption stack with incremental DNF cube reuse."""
 
 import pytest
 
-from repro.arith import fm
-from repro.arith.context import (
-    LRUCache,
-    SolverContext,
-    SolverStats,
-    default_context,
-)
+from repro.arith import context, fm
+from repro.arith.context import LRUCache, SolverContext, SolverStats
 from repro.arith.formula import TRUE, atom_eq, atom_ge, atom_le, conj, disj
-from repro.arith.solver import clear_caches, is_sat, solver_stats
+from repro.arith.solver import clear_caches
 from repro.arith.terms import var
 
 x, y, z = var("x"), var("y"), var("z")
@@ -85,17 +80,16 @@ class TestStats:
         b.is_sat(atom_ge(y, 0))
         assert stats.sat_queries == 2
 
-    def test_clear_caches_resets_default_stats(self):
-        is_sat(conj(atom_ge(x, 0), atom_le(x, 1)))
-        assert solver_stats().sat_queries > 0
+    def test_clear_caches_resets_fm_memo(self, ctx):
+        ctx.is_sat(conj(atom_ge(x, 0), atom_le(x + y, 1), atom_ge(y, 0)))
+        assert fm.fm_cache_stats()["size"] > 0
         clear_caches()
-        assert solver_stats().sat_queries == 0
-        assert solver_stats().fm_eliminations == 0
         assert fm.fm_cache_stats()["size"] == 0
         assert fm.fm_cache_stats()["eliminations"] == 0
 
-    def test_small_cache_evicts_but_stays_correct(self):
-        ctx = SolverContext(cache_size=4)
+    def test_small_cache_evicts_but_stays_correct(self, monkeypatch):
+        monkeypatch.setattr(context, "CACHE_SIZE", 4)
+        ctx = SolverContext()
         formulas = [conj(atom_ge(x, i), atom_le(x, i + 1)) for i in range(10)]
         first = [ctx.is_sat(f) for f in formulas]
         second = [ctx.is_sat(f) for f in formulas]
@@ -173,17 +167,6 @@ class TestAssumptionStack:
             simplified = ctx.simplify(f)
         # must stay equivalent to f absolutely, not merely under x == 3
         assert ctx.equivalent(simplified, f)
-
-
-class TestFacade:
-    def test_default_context_is_shared(self):
-        assert default_context() is default_context()
-
-    def test_explicit_ctx_routes_caching(self):
-        ctx = SolverContext()
-        f = conj(atom_ge(x, 0), atom_le(x, 2))
-        assert is_sat(f, ctx)
-        assert ctx.stats.sat_queries == 1
 
 
 class TestFMRouting:

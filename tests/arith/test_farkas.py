@@ -123,7 +123,7 @@ def test_registry_lps_get_linprog_answers(monkeypatch):
     assert outcomes == {True, False}
 
 
-def test_template_abduction_matches_the_hand_built_lp(monkeypatch):
+def test_template_abduction_matches_the_hand_built_lp(monkeypatch, ctx):
     """The abduction now encodes its lemma through ``add_implication``:
     the LP and the abduced condition equal the hand-copied loop's."""
     built = {}
@@ -143,8 +143,8 @@ def test_template_abduction_matches_the_hand_built_lp(monkeypatch):
     assert calls
     for context, beta, subset in calls:
         built.clear()
-        got = nonterm._template_abduction(context, beta, subset)
-        want = ref.template_abduction(context, beta, subset)
+        got = nonterm._template_abduction(context, beta, subset, ctx)
+        want = ref.template_abduction(context, beta, subset, ctx)
         assert got == want
         assert built.keys() in ({"new", "old"}, set())
         if built:

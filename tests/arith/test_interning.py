@@ -34,7 +34,6 @@ from repro.arith.formula import (
     exists,
     neg,
 )
-from repro.arith.solver import entails, is_sat, model
 from repro.arith.terms import LinExpr, var
 
 VARS = ("a", "b", "c", "d")
@@ -132,29 +131,30 @@ class TestInterning:
 
 
 class TestSemanticTransparency:
-    def test_sat_answers_preserved(self):
-        """Interned formulas give the same SAT answers through the warm
-        default context, a cold context, and concrete evaluation."""
+    def test_sat_answers_preserved(self, ctx):
+        """Interned formulas give the same SAT answers through a context
+        warmed by earlier queries, a cold context, and concrete
+        evaluation."""
         rng = random.Random(987)
         cold = SolverContext()
         for _ in range(40):
             f = random_formula(rng, depth=2)
-            warm_answer = is_sat(f)
+            warm_answer = ctx.is_sat(f)
             assert cold.is_sat(f) == warm_answer
             if warm_answer:
-                env = model(f)
+                env = ctx.model(f)
                 assert env is not None
                 assert f.evaluate(env)
 
-    def test_entails_answers_preserved(self):
+    def test_entails_answers_preserved(self, ctx):
         rng = random.Random(555)
         cold = SolverContext()
         for _ in range(25):
             f = random_formula(rng, depth=2)
             g = random_formula(rng, depth=2)
-            assert entails(conj(f, g), f)
+            assert ctx.entails(conj(f, g), f)
             assert cold.entails(conj(f, g), f)
-            assert entails(f, g) == cold.entails(f, g)
+            assert ctx.entails(f, g) == cold.entails(f, g)
 
     def test_substitute_rename_stay_interned(self):
         f = conj(atom_le(var("x"), 0), atom_ge(var("y"), 1))

@@ -11,6 +11,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from repro.arith.context import SolverContext
 from repro.arith.formula import (
     Formula,
     atom_eq,
@@ -22,7 +23,6 @@ from repro.arith.formula import (
     neg,
     to_dnf,
 )
-from repro.arith.solver import entails, is_sat, model, project, simplify
 from repro.arith.terms import LinExpr, var
 
 VARS = ("x", "y", "z")
@@ -75,15 +75,17 @@ def grid_models(f: Formula):
 @settings(max_examples=120, deadline=None)
 @given(formulas())
 def test_grid_witness_implies_sat(f):
+    ctx = SolverContext()
     for env in grid_models(f):
-        assert is_sat(f), f"grid model {env} exists but solver says UNSAT"
+        assert ctx.is_sat(f), f"grid model {env} exists but solver says UNSAT"
         break
 
 
 @settings(max_examples=120, deadline=None)
 @given(formulas())
 def test_model_satisfies_formula(f):
-    env = model(f)
+    ctx = SolverContext()
+    env = ctx.model(f)
     if env is not None:
         full = {v: env.get(v, 0) for v in VARS}
         # rationals from the model must actually satisfy the formula
@@ -93,7 +95,8 @@ def test_model_satisfies_formula(f):
 @settings(max_examples=80, deadline=None)
 @given(formulas(), formulas())
 def test_entailment_respects_grid(a, b):
-    if entails(a, b):
+    ctx = SolverContext()
+    if ctx.entails(a, b):
         for env in grid_models(a):
             assert b.evaluate(env), (
                 f"claimed {a!r} => {b!r} but {env} is a counterexample"
@@ -103,7 +106,8 @@ def test_entailment_respects_grid(a, b):
 @settings(max_examples=80, deadline=None)
 @given(formulas())
 def test_simplify_preserves_grid_semantics(f):
-    g = simplify(f)
+    ctx = SolverContext()
+    g = ctx.simplify(f)
     for values in itertools.product(range(-3, 4), repeat=len(VARS)):
         env = dict(zip(VARS, values))
         assert f.evaluate(env) == g.evaluate(env)
@@ -122,7 +126,8 @@ def test_dnf_preserves_grid_semantics(f):
 @settings(max_examples=60, deadline=None)
 @given(formulas())
 def test_projection_is_sound_overapproximation(f):
-    g = project(f, eliminate={"z"})
+    ctx = SolverContext()
+    g = ctx.project(f, eliminate={"z"})
     assert g.free_vars() <= {"x", "y"}
     # every grid model of f must satisfy the projection
     for env in grid_models(f):

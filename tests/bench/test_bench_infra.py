@@ -19,12 +19,12 @@ class TestCorpus:
             program = p.program()
             assert program.methods
 
-    def test_mains_exist_after_abstraction(self):
+    def test_mains_exist_after_abstraction(self, ctx):
         from repro.lang import desugar_program
         from repro.seplog.abstraction import abstract_program
 
         for p in all_programs():
-            program = abstract_program(desugar_program(p.program()))
+            program = abstract_program(desugar_program(p.program()), ctx)
             assert p.main in program.methods, p.name
 
     def test_names_unique(self):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arith.formula import atom_ge, atom_lt, conj
-from repro.arith.solver import entails, equivalent, is_sat
 from repro.arith.terms import var
 from repro.core import Term, Loop, infer_source
 from repro.core.pipeline import Verdict
@@ -38,30 +37,30 @@ class TestFooSummary:
         spec = foo_result.specs["foo"]
         assert len(spec.cases) == 3
 
-    def test_base_case_is_x_negative(self, foo_result):
+    def test_base_case_is_x_negative(self, foo_result, ctx):
         spec = foo_result.specs["foo"]
         base = [c for c in spec.cases if isinstance(c.pred, TermPred)
                 and not c.pred.measure]
         assert len(base) == 1
-        assert equivalent(base[0].guard, atom_lt(x, 0))
+        assert ctx.equivalent(base[0].guard, atom_lt(x, 0))
 
-    def test_loop_case_is_x_and_y_nonneg(self, foo_result):
+    def test_loop_case_is_x_and_y_nonneg(self, foo_result, ctx):
         spec = foo_result.specs["foo"]
         loops = [c for c in spec.cases if isinstance(c.pred, LoopPred)]
         assert len(loops) == 1
-        assert equivalent(loops[0].guard, conj(atom_ge(x, 0), atom_ge(y, 0)))
+        assert ctx.equivalent(loops[0].guard, conj(atom_ge(x, 0), atom_ge(y, 0)))
         assert not loops[0].post.reachable  # ensures false
 
-    def test_term_case_is_x_nonneg_y_neg(self, foo_result):
+    def test_term_case_is_x_nonneg_y_neg(self, foo_result, ctx):
         spec = foo_result.specs["foo"]
         terms = [c for c in spec.cases if isinstance(c.pred, TermPred)
                  and c.pred.measure]
         assert len(terms) == 1
-        assert equivalent(
+        assert ctx.equivalent(
             terms[0].guard, conj(atom_ge(x, 0), atom_lt(y, 0))
         )
 
-    def test_ranking_function_is_valid(self, foo_result):
+    def test_ranking_function_is_valid(self, foo_result, ctx):
         """The measure must be bounded and decreasing on the recursion
         under the Term case (x>=0, y<0, next call stays in x>=0)."""
         from repro.arith.formula import atom_eq
@@ -76,22 +75,21 @@ class TestFooSummary:
             atom_eq(xp, x + y), atom_eq(yp, y), atom_ge(xp, 0),
         )
         rank_next = rank.substitute({"x": xp, "y": yp})
-        assert entails(edge, atom_ge(rank, 0))
-        assert entails(edge, atom_ge(rank - rank_next, 1))
+        assert ctx.entails(edge, atom_ge(rank, 0))
+        assert ctx.entails(edge, atom_ge(rank - rank_next, 1))
 
-    def test_guards_are_exclusive_and_exhaustive(self, foo_result):
+    def test_guards_are_exclusive_and_exhaustive(self, foo_result, ctx):
         """Paper Definition 2 on the final summary."""
         from repro.arith.formula import FALSE, TRUE, conj as conj_, disj, neg
-        from repro.arith.solver import is_valid
 
         spec = foo_result.specs["foo"]
         guards = [c.guard for c in spec.cases]
         for g in guards:
-            assert is_sat(g)  # feasible
+            assert ctx.is_sat(g)  # feasible
         for i in range(len(guards)):
             for j in range(i + 1, len(guards)):
-                assert not is_sat(conj_(guards[i], guards[j]))  # exclusive
-        assert is_valid(disj(*guards))  # exhaustive
+                assert not ctx.is_sat(conj_(guards[i], guards[j]))  # exclusive
+        assert ctx.is_valid(disj(*guards))  # exhaustive
 
     def test_verdict_is_nonterminating(self, foo_result):
         assert foo_result.verdict("foo") is Verdict.NONTERMINATING

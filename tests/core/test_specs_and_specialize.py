@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arith.formula import TRUE, atom_ge, atom_lt, conj
-from repro.arith.solver import equivalent, is_sat
 from repro.arith.terms import var
 from repro.core.assumptions import PostAssume, PreAssume
 from repro.core.predicates import (
@@ -46,7 +45,7 @@ class TestDefStore:
         assert store.is_resolved("U0@f")
         assert store.unresolved_leaves("U0@f") == []
 
-    def test_refinement_tree_flatten(self):
+    def test_refinement_tree_flatten(self, ctx):
         store = fresh_store()
         child_a = store.new_pair("f", ("x",))
         child_b = store.new_pair("f", ("x",))
@@ -56,27 +55,27 @@ class TestDefStore:
         ])
         store.resolve_leaf(child_a, LOOP, POST_FALSE)
         store.resolve_leaf(child_b, TERM, POST_TRUE)
-        cases = store.flatten("U0@f")
+        cases = store.flatten("U0@f", ctx=ctx)
         assert len(cases) == 2
         by_kind = {type(c.pred).__name__: c for c in cases}
         assert not by_kind["Loop"].post.reachable
         assert by_kind["Term"].post.reachable
 
-    def test_flatten_unresolved_defaults_to_mayloop(self):
+    def test_flatten_unresolved_defaults_to_mayloop(self, ctx):
         store = fresh_store()
-        (case,) = store.flatten("U0@f")
+        (case,) = store.flatten("U0@f", ctx=ctx)
         from repro.core.predicates import MayLoop
 
         assert isinstance(case.pred, MayLoop)
 
-    def test_flatten_context_restricts(self):
+    def test_flatten_context_restricts(self, ctx):
         store = fresh_store()
         store.resolve_leaf("U0@f", TERM, POST_TRUE)
-        cases = store.flatten("U0@f", context=atom_ge(x, 5))
+        cases = store.flatten("U0@f", context=atom_ge(x, 5), ctx=ctx)
         assert len(cases) == 1
-        assert equivalent(cases[0].guard, atom_ge(x, 5))
+        assert ctx.equivalent(cases[0].guard, atom_ge(x, 5))
 
-    def test_leaf_cases_cumulative_guards(self):
+    def test_leaf_cases_cumulative_guards(self, ctx):
         store = fresh_store()
         child = store.new_pair("f", ("x",))
         store.define("U0@f", [Case(atom_ge(x, 0), child, child)])
@@ -85,12 +84,12 @@ class TestDefStore:
                              Case(atom_lt(x, 5), TERM, POST_TRUE)])
         leaves = store.leaf_cases("U0@f")
         guards = [g for g, _p, _q in leaves]
-        assert any(equivalent(g, conj(atom_ge(x, 0), atom_ge(x, 5)))
+        assert any(ctx.equivalent(g, conj(atom_ge(x, 0), atom_ge(x, 5)))
                    for g in guards)
 
 
 class TestSpecializePre:
-    def test_substitutes_definitions_and_splits(self):
+    def test_substitutes_definitions_and_splits(self, ctx):
         store = fresh_store()
         child_a = store.new_pair("f", ("x",))
         child_b = store.new_pair("f", ("x",))
@@ -103,31 +102,31 @@ class TestSpecializePre:
             lhs=PreRef("U0@f", ("u",)),
             rhs=PreRef("U0@f", ("u",)),
         )
-        out = specialize_pre([a], store)
+        out = specialize_pre([a], store, ctx)
         # lhs u>=0 picks child_a; rhs splits on u>=0 / u<0: u<0 is
         # inconsistent with the lhs guard, so a single assumption remains
         assert len(out) == 1
         assert out[0].lhs.name == child_a
         assert out[0].rhs.name == child_a
 
-    def test_resolved_lhs_dropped(self):
+    def test_resolved_lhs_dropped(self, ctx):
         store = fresh_store()
         store.resolve_leaf("U0@f", TERM, POST_TRUE)
         a = PreAssume(TRUE, PreRef("U0@f", ("u",)), PreRef("U0@f", ("u",)))
-        assert specialize_pre([a], store) == []
+        assert specialize_pre([a], store, ctx) == []
 
-    def test_rhs_resolved_to_term_becomes_sink(self):
+    def test_rhs_resolved_to_term_becomes_sink(self, ctx):
         store = DefStore()
         store.register_root("U0@f", ("x",))
         store.register_root("U0@g", ("x",))
         store.resolve_leaf("U0@g", Term((var("x"),)), POST_TRUE)
         a = PreAssume(TRUE, PreRef("U0@f", ("u",)), PreRef("U0@g", ("u",)))
-        (out,) = specialize_pre([a], store)
+        (out,) = specialize_pre([a], store, ctx)
         assert isinstance(out.rhs, Term)
 
 
 class TestSpecializePost:
-    def test_true_entries_vanish(self):
+    def test_true_entries_vanish(self, ctx):
         store = DefStore()
         store.register_root("U0@f", ("x",))
         store.register_root("U0@g", ("x",))
@@ -138,10 +137,10 @@ class TestSpecializePost:
             guard=TRUE,
             rhs=PostRef("U0@f", ("u",)),
         )
-        (out,) = specialize_post([t], store)
+        (out,) = specialize_post([t], store, ctx)
         assert out.entries == ()
 
-    def test_false_entries_materialise(self):
+    def test_false_entries_materialise(self, ctx):
         store = DefStore()
         store.register_root("U0@f", ("x",))
         store.register_root("U0@g", ("x",))
@@ -152,15 +151,15 @@ class TestSpecializePost:
             guard=TRUE,
             rhs=PostRef("U0@f", ("u",)),
         )
-        (out,) = specialize_post([t], store)
+        (out,) = specialize_post([t], store, ctx)
         ((g, p),) = out.entries
         assert not p.reachable
 
-    def test_resolved_rhs_discharges(self):
+    def test_resolved_rhs_discharges(self, ctx):
         store = fresh_store()
         store.resolve_leaf("U0@f", TERM, POST_TRUE)
         t = PostAssume(TRUE, (), TRUE, PostRef("U0@f", ("u",)))
-        assert specialize_post([t], store) == []
+        assert specialize_post([t], store, ctx) == []
 
 
 class TestReachGraph:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arith.formula import TRUE, atom_ge, atom_lt, conj
-from repro.arith.solver import entails, equivalent, is_sat
+from repro.arith.context import SolverContext
 from repro.arith.terms import var
 from repro.core.assumptions import filter_trivial, PreAssume
 from repro.core.predicates import (
@@ -29,7 +29,9 @@ void foo(int x, int y)
 def collect(source, name, solved=None, pairs=None):
     program = desugar_program(parse_program(source))
     pairs = pairs or {name: f"U0@{name}"}
-    v = Verifier(program, pairs=pairs, solved=solved or {})
+    v = Verifier(
+        program, pairs=pairs, solved=solved or {}, ctx=SolverContext()
+    )
     return v.collect(program.method(name))
 
 
@@ -41,21 +43,21 @@ class TestFooAssumptions:
         assert len(ma.pre_assumptions) == 1
         assert len(ma.post_assumptions) == 2
 
-    def test_recursive_pre_assumption(self):
+    def test_recursive_pre_assumption(self, ctx):
         ma = collect(FOO, "foo")
         (a,) = ma.pre_assumptions
         assert isinstance(a.lhs, PreRef) and isinstance(a.rhs, PreRef)
         assert a.lhs.args == ("x", "y")
         # context must entail x >= 0 and bind x' = x + y
-        assert entails(a.ctx, atom_ge(var("x"), 0))
+        assert ctx.entails(a.ctx, atom_ge(var("x"), 0))
         xp, yp = a.rhs.args
-        assert entails(a.ctx, atom_ge(var(xp) - var("x") - var("y"), 0))
+        assert ctx.entails(a.ctx, atom_ge(var(xp) - var("x") - var("y"), 0))
 
-    def test_base_post_assumption(self):
+    def test_base_post_assumption(self, ctx):
         ma = collect(FOO, "foo")
         base = [t for t in ma.post_assumptions if not t.entries]
         assert len(base) == 1
-        assert equivalent(base[0].ctx, atom_lt(var("x"), 0))
+        assert ctx.equivalent(base[0].ctx, atom_lt(var("x"), 0))
 
     def test_inductive_post_assumption(self):
         ma = collect(FOO, "foo")
@@ -109,7 +111,7 @@ void caller(int n) { fine(n); }
                      pairs={"caller": "U0@caller"})
         assert ma.pre_assumptions == []
 
-    def test_callee_ensures_constrains_result(self):
+    def test_callee_ensures_constrains_result(self, ctx):
         src = """
 int inc(int n) requires true ensures res >= n + 1; { return n + 1; }
 int caller(int n) { int r = inc(n); if (r > n) { return 1; } else { return 0; } }
@@ -120,7 +122,7 @@ int caller(int n) { int r = inc(n); if (r > n) { return 1; } else { return 0; } 
             cases=[SpecCase(TRUE, TERM, POST_TRUE)],
         )
         v = Verifier(program, pairs={"caller": "U0@caller"},
-                     solved={"inc": spec})
+                     solved={"inc": spec}, ctx=ctx)
         ma = v.collect(program.method("caller"))
         # with res >= n+1 the else branch (r <= n) is infeasible:
         # only one exit assumption survives
@@ -150,23 +152,23 @@ void f(int x) { if (nondet() > 0) { f(x - 1); } }
 
 
 class TestFilterTrivial:
-    def test_loop_lhs_removed(self):
+    def test_loop_lhs_removed(self, ctx):
         a = PreAssume(TRUE, LOOP, PreRef("U", ("x",)))
-        assert filter_trivial([a]) == []
+        assert filter_trivial([a], ctx=ctx) == []
 
-    def test_unsat_ctx_removed(self):
-        ctx = conj(atom_ge(var("x"), 1), atom_lt(var("x"), 0))
-        a = PreAssume(ctx, PreRef("U", ("x",)), PreRef("U", ("x",)))
-        assert filter_trivial([a]) == []
+    def test_unsat_ctx_removed(self, ctx):
+        pre = conj(atom_ge(var("x"), 1), atom_lt(var("x"), 0))
+        a = PreAssume(pre, PreRef("U", ("x",)), PreRef("U", ("x",)))
+        assert filter_trivial([a], ctx=ctx) == []
 
-    def test_term_rhs_kept_only_for_mutual(self):
+    def test_term_rhs_kept_only_for_mutual(self, ctx):
         a = PreAssume(TRUE, PreRef("U", ("x",)), TERM)
-        assert filter_trivial([a], mutually_recursive={"U"}) == [a]
-        assert filter_trivial([a], mutually_recursive={"V"}) == []
+        assert filter_trivial([a], mutually_recursive={"U"}, ctx=ctx) == [a]
+        assert filter_trivial([a], mutually_recursive={"V"}, ctx=ctx) == []
 
-    def test_unknown_to_unknown_kept(self):
+    def test_unknown_to_unknown_kept(self, ctx):
         a = PreAssume(TRUE, PreRef("U", ("x",)), PreRef("V", ("y",)))
-        assert filter_trivial([a], mutually_recursive={"U", "V"}) == [a]
+        assert filter_trivial([a], mutually_recursive={"U", "V"}, ctx=ctx) == [a]
 
 
 class TestErrors:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arith.formula import TRUE, atom_ge
-from repro.arith.solver import entails, equivalent, is_sat
 from repro.arith.terms import const, var
 from repro.core import infer_program
 from repro.core.pipeline import Verdict
@@ -37,36 +36,36 @@ def lseg_heap(size="n"):
 
 
 class TestUnfold:
-    def test_lseg_two_cases(self):
+    def test_lseg_two_cases(self, ctx):
         heap = SymHeap(chunks=(PredInst("lseg", ("x", "q"), var("n")),))
-        cases = unfold(heap, heap.chunks[0], {})
+        cases = unfold(heap, heap.chunks[0], {}, ctx)
         assert len(cases) == 2
 
-    def test_lseg_empty_case_aliases_root(self):
+    def test_lseg_empty_case_aliases_root(self, ctx):
         heap = SymHeap(chunks=(PredInst("lseg", ("x", "q"), var("n")),))
-        (empty, aliases), _ = unfold(heap, heap.chunks[0], {})
+        (empty, aliases), _ = unfold(heap, heap.chunks[0], {}, ctx)
         assert aliases["x"] == "q"
-        assert entails(empty.pure, atom_ge(-var("n"), 0))
+        assert ctx.entails(empty.pure, atom_ge(-var("n"), 0))
 
-    def test_cll_has_no_empty_case(self):
+    def test_cll_has_no_empty_case(self, ctx):
         heap = SymHeap(chunks=(PredInst("cll", ("x",), var("n")),))
-        cases = unfold(heap, heap.chunks[0], {})
+        cases = unfold(heap, heap.chunks[0], {}, ctx)
         assert len(cases) == 1
         nonempty, _aliases = cases[0]
         assert any(isinstance(c, PointsTo) for c in nonempty.chunks)
 
-    def test_nonempty_case_constrains_size(self):
+    def test_nonempty_case_constrains_size(self, ctx):
         heap = SymHeap(chunks=(PredInst("ll", ("x",), var("n")),))
-        cases = unfold(heap, heap.chunks[0], {})
+        cases = unfold(heap, heap.chunks[0], {}, ctx)
         nonempty = [h for h, _a in cases if h.chunks][0]
-        assert entails(nonempty.pure, atom_ge(var("n"), 1))
+        assert ctx.entails(nonempty.pure, atom_ge(var("n"), 1))
 
-    def test_inconsistent_case_dropped(self):
+    def test_inconsistent_case_dropped(self, ctx):
         heap = SymHeap(
             chunks=(PredInst("ll", ("x",), var("n")),),
             pure=atom_ge(var("n"), 1),
         )
-        cases = unfold(heap, heap.chunks[0], {})
+        cases = unfold(heap, heap.chunks[0], {}, ctx)
         # n >= 1 kills the empty case
         assert len(cases) == 1
 
@@ -157,29 +156,29 @@ class TestAbstraction:
         (case,) = result.specs["append__h0"].cases
         assert not case.post.reachable  # postcondition strengthened to false
 
-    def test_abstracted_method_is_pure(self):
+    def test_abstracted_method_is_pure(self, ctx):
         from repro.seplog.abstraction import has_heap_statements
 
         program = parse_program(SRC)
         program.methods["append"].heap_specs = [
             self._spec("lseg", ("x", "null"))
         ]
-        abstracted = abstract_program(program)
+        abstracted = abstract_program(program, ctx)
         m = abstracted.methods["append__h0"]
         assert not has_heap_statements(m)
         assert [p.name for p in m.params] == ["n"]
 
-    def test_pure_program_passthrough(self):
+    def test_pure_program_passthrough(self, ctx):
         program = parse_program("void f(int x) { return; }")
-        assert abstract_program(program) is program
+        assert abstract_program(program, ctx) is program
 
-    def test_heap_without_spec_rejected(self):
+    def test_heap_without_spec_rejected(self, ctx):
         program = parse_program(SRC + "\nvoid g(node z) { z.next = null; }")
         program.methods["append"].heap_specs = [
             self._spec("lseg", ("x", "null"))
         ]
         with pytest.raises(AbstractionError):
-            abstract_program(program)
+            abstract_program(program, ctx)
 
     def test_ll_traversal_terminates(self):
         program = parse_program("""

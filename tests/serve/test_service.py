@@ -100,7 +100,7 @@ class TestRoutes:
                 stats = json.loads(body)
                 assert stats["dedup"]["leaders"] == 0
                 assert set(stats["caches"]) >= {
-                    "default_context", "dnf", "fm", "interned_formulas",
+                    "dnf", "fm", "interned_formulas",
                 }
 
                 status, _, _ = await request(port, "GET", "/nope")
