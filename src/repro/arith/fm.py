@@ -25,13 +25,24 @@ term that cannot both hold refute the cube before the memo is probed and
 FM runs.  The pre-pass only ever answers
 UNSAT, and only for rationally UNSAT cubes, which FM refutes too, so it
 never changes an answer.  See ``docs/solver.md``.
+
+This layer also owns the analysis wall-clock limit: :func:`deadline`
+scopes one to the calling thread's context, and :func:`check_deadline`,
+called at the top of every :func:`cube_is_sat` and once per round of
+variable elimination, raises :class:`AnalysisTimeout` once it has passed,
+so an analysis stops itself where it spends its time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
+import time
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.arith.formula import Atom, Rel
 from repro.arith.lru import LRUCache
@@ -54,6 +65,40 @@ def elimination_count() -> int:
 
 class Unsat(Exception):
     """Raised internally when a cube is discovered to be contradictory."""
+
+
+class AnalysisTimeout(Exception):
+    """Raised by :func:`check_deadline` once the scoped deadline passed."""
+
+
+#: The ``time.monotonic()`` instant the current context's analysis must
+#: stop at (``None``: no limit).  A context variable, so each thread -- a
+#: daemon worker, a bench run -- carries its own limit.
+_DEADLINE: contextvars.ContextVar[Optional[float]] = contextvars.ContextVar(
+    "analysis_deadline", default=None
+)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float) -> Iterator[None]:
+    """Stop every FM call made inside the block once *seconds* have passed.
+
+    A nested scope never extends an enclosing deadline: the sooner of the
+    two applies."""
+    until = time.monotonic() + seconds
+    outer = _DEADLINE.get()
+    token = _DEADLINE.set(until if outer is None else min(outer, until))
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def check_deadline() -> None:
+    """Raise :class:`AnalysisTimeout` when the scoped deadline has passed."""
+    until = _DEADLINE.get()
+    if until is not None and time.monotonic() > until:
+        raise AnalysisTimeout()
 
 
 #: The relations, bound once (attribute access on an enum class is slow).
@@ -277,6 +322,7 @@ def _eliminate_all(
     remaining = set(targets)
     current = list(rows)
     while remaining:
+        check_deadline()
         i = _cheapest_var(current, remaining)
         remaining.discard(i)
         if stack is not None:
@@ -415,8 +461,12 @@ def cube_is_sat(atoms: Sequence[Atom]) -> bool:
     times across specialisation iterations, and under memory pressure the
     least-recently-used entries are evicted instead of the cache silently
     refusing new entries.
+
+    Raises :class:`AnalysisTimeout` once the scoped :func:`deadline` has
+    passed.
     """
     global _BOUNDS_UNSAT
+    check_deadline()
     if bounds_refute(atoms):
         _BOUNDS_UNSAT += 1
         return False

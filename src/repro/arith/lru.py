@@ -44,9 +44,9 @@ class LRUCache:
         try:
             self._data.move_to_end(key)
         except KeyError:
-            # Lost a race with a concurrent evict/clear (an abandoned
-            # bench watchdog worker shares the module-level caches).
-            # The value we read is still a valid memo result.
+            # Lost a race with a concurrent evict/clear (daemon worker
+            # threads share the module-level caches).  The value we
+            # read is still a valid memo result.
             pass
         return hit
 
@@ -75,8 +75,8 @@ class LRUCache:
         """Drop every entry.
 
         The backing dict is *swapped* for a fresh one rather than cleared
-        in place: a concurrent reader (a daemon worker mid-query, an
-        abandoned bench watchdog) that already fetched the old mapping
+        in place: a concurrent reader (a daemon worker mid-query) that
+        already fetched the old mapping
         keeps probing a consistent -- merely stale -- memo, instead of
         racing ``dict.clear`` mid-iteration.  Memo entries are pure
         functions of their keys, so serving a stale hit is always correct.

@@ -2,10 +2,12 @@
 
 Mirrors the paper's experimental protocol: each (tool, program) run gets a
 wall-clock budget (the paper used 300 s; the default here is smaller since
-the corpus is smaller), outcomes are classified Y / N / U / T-O, and every
-definite answer is checked against the program's ground truth -- the
-analogue of the paper re-verifying all inferred specifications ("our tool
-does not have any false positive nor negative").
+the corpus is smaller), which the run enforces on itself through the FM
+layer's deadline (:func:`repro.arith.fm.deadline`); outcomes are
+classified Y / N / U / T-O, and every definite answer is checked against
+the program's ground truth -- the analogue of the paper re-verifying all
+inferred specifications ("our tool does not have any false positive nor
+negative").
 """
 
 from __future__ import annotations
@@ -13,23 +15,18 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import multiprocessing.connection
-import signal
-import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.arith.context import SolverStats
+from repro.arith.fm import AnalysisTimeout, deadline
 from repro.arith.formula import intern_table_size, reset_fresh_names
 from repro.arith.solver import clear_caches
 from repro.core.pipeline import Verdict, infer_program
 from repro.bench.programs import BenchProgram
 from repro.lang.to_arith import reset_fresh
 from repro.seplog.heap import reset_fresh_ptrs
-
-
-class AnalysisTimeout(Exception):
-    """Raised inside a run when the wall-clock budget expires."""
 
 
 @dataclass
@@ -142,139 +139,10 @@ def _cold_start() -> None:
     reset_fresh_ptrs()
 
 
-#: Retry period for the interval timer: if an alarm lands while the
-#: interpreter is inside a C-invoked callback (a GC callback, a weakref
-#: finalizer), the raised exception is swallowed as "unraisable" -- the
-#: repeating interval re-fires until a raise sticks in normal bytecode.
-_REARM_INTERVAL = 0.05
-
-
-def run_with_timeout(fn, seconds: float):
-    """Run *fn* under a wall-clock budget; raises :class:`AnalysisTimeout`
-    on expiry.
-
-    On the main thread this uses a SIGALRM interval timer; nesting is
-    supported (a previously armed ``ITIMER_REAL`` is saved and re-armed
-    with its remaining budget afterwards), and the inner budget never
-    outlives an enclosing one.  Off the main thread -- where Python
-    forbids ``signal.signal`` with a ``ValueError``, and which is exactly
-    where analysis-daemon worker threads run (:mod:`repro.serve`) -- the
-    call routes to a daemon-thread watchdog instead: on expiry the worker
-    is abandoned (best effort; it cannot be interrupted and may keep
-    computing until the process exits).  The routing is belt-and-braces:
-    besides the thread check, a ``ValueError`` out of the signal
-    machinery itself (environments where the main-thread test is not the
-    whole story, e.g. non-main interpreters) also falls back to the
-    watchdog, so no caller ever sees the signal layer's refusal."""
-    if threading.current_thread() is not threading.main_thread():
-        return _with_timeout_watchdog(fn, seconds)
-    # Capability probe: re-installing the current handler is a no-op but
-    # raises the same ValueError signal.signal would raise inside the
-    # SIGALRM path.  Probing first (instead of catching around the real
-    # call) guarantees *fn* can never be started twice.  A None handler
-    # (installed by non-Python code) cannot be re-installed; skip the
-    # probe and trust the main-thread check above.
-    probe = signal.getsignal(signal.SIGALRM)
-    if probe is not None:
-        try:
-            signal.signal(signal.SIGALRM, probe)
-        except ValueError:
-            return _with_timeout_watchdog(fn, seconds)
-    return _with_timeout_sigalrm(fn, seconds)
-
-
-def _with_timeout_sigalrm(fn, seconds: float):
-    # ``fired`` records that the budget expired even when the raised
-    # AnalysisTimeout gets swallowed inside *fn* (e.g. by a ``finally`` /
-    # broad ``except`` during solver cleanup): the flag is re-checked after
-    # fn returns, so a truncated run can never be reported as successful.
-    # ``armed`` gates the raise so that a late re-armed alarm landing in
-    # the teardown below cannot skip restoring the previous handler/timer.
-    state = {"armed": True, "fired": False}
-
-    def handler(signum, frame):
-        state["fired"] = True
-        if state["armed"]:
-            raise AnalysisTimeout()
-
-    old_handler = signal.signal(signal.SIGALRM, handler)
-    prev_delay, prev_interval = signal.getitimer(signal.ITIMER_REAL)
-    start = time.monotonic()
-    # Never outlive an enclosing budget that expires sooner than ours.
-    budget = seconds if prev_delay == 0 else min(seconds, prev_delay)
-    signal.setitimer(signal.ITIMER_REAL, budget, _REARM_INTERVAL)
-    try:
-        result = fn()
-    except AnalysisTimeout:
-        raise
-    except BaseException:
-        if state["fired"]:
-            # The budget expired, the injected raise was swallowed, and a
-            # secondary error escaped from the half-torn-down state: the
-            # run is a timeout, not an analyzer failure.
-            raise AnalysisTimeout() from None
-        raise
-    finally:
-        state["armed"] = False
-        # Teardown runs whether fn returned or raised; the nested finally
-        # guarantees the handler is restored even if disarming the timer
-        # itself fails.
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-        finally:
-            signal.signal(signal.SIGALRM, old_handler)
-            if prev_delay > 0:
-                # Restore the outer timer with whatever budget it has
-                # left; if it expired while we ran, let it fire (almost)
-                # immediately.
-                remaining = prev_delay - (time.monotonic() - start)
-                signal.setitimer(
-                    signal.ITIMER_REAL, max(remaining, 1e-6), prev_interval
-                )
-    if state["fired"]:
-        # The budget expired while fn ran but the in-flight raise was
-        # swallowed before reaching us: the outcome is a timeout, not a
-        # success built from a half-finished analysis.
-        raise AnalysisTimeout()
-    return result
-
-
-def _with_timeout_watchdog(fn, seconds: float):
-    """Thread-based fallback: run *fn* in a daemon worker, abandon it on
-    expiry.  The worker's answer (or exception) is relayed when it beats
-    the deadline.
-
-    Caveat: an abandoned worker keeps computing until the process exits,
-    so it can keep touching the process-global solver caches and FM
-    counters; solver statistics of runs executed concurrently with an
-    abandoned worker are best-effort."""
-    outcome: List[object] = []
-    failure: List[BaseException] = []
-
-    def target() -> None:
-        try:
-            outcome.append(fn())
-        except BaseException as exc:  # relayed to the caller below
-            failure.append(exc)
-
-    worker = threading.Thread(
-        target=target, daemon=True, name="bench-watchdog-worker"
-    )
-    worker.start()
-    worker.join(seconds)
-    if worker.is_alive():
-        raise AnalysisTimeout()
-    if failure:
-        raise failure[0]
-    return outcome[0]
-
-
 def run_tool(
     tool: Analyzer,
     bench: BenchProgram,
     timeout: float = 60.0,
-    enforce_timeout: bool = True,
-    on_start=None,
 ) -> BenchOutcome:
     """Run one analyzer on one benchmark program.
 
@@ -292,18 +160,15 @@ def run_tool(
     exception: its on-disk entries survive cold start by design, so a
     repeat run reports ``store_hits`` instead of redoing inference.
 
-    With ``enforce_timeout=False`` the analyzer runs without the in-process
-    signal/watchdog machinery; the sharded runner uses this in worker
-    processes, where the *parent* enforces the wall clock by
-    ``join(timeout)`` + kill.
+    The analyzer runs inside :func:`repro.arith.fm.deadline` (*timeout*
+    seconds): its FM calls raise :class:`AnalysisTimeout` once the limit
+    has passed, so the run stops itself, on any thread and in any shard
+    worker.  A run whose elapsed time exceeds *timeout* is T/O whether it
+    raised, returned or swallowed the timeout on the way out, so a
+    truncated run is never reported as a success.
     """
     program = bench.program()
     _cold_start()
-    if on_start is not None:
-        # The sharded runner's worker signals the parent here -- after
-        # program build and cold start -- so the parent-enforced budget
-        # clock starts exactly where the sequential clock below does.
-        on_start()
     start = time.monotonic()
     verdict: Optional[Verdict]
     # Automatic (allocation-triggered) gc passes would purge dead-but-
@@ -313,9 +178,7 @@ def run_tool(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if enforce_timeout:
-            verdict = run_with_timeout(lambda: tool.analyze(program), timeout)
-        else:
+        with deadline(timeout):
             verdict = tool.analyze(program)
     except AnalysisTimeout:
         verdict = None
@@ -326,6 +189,8 @@ def run_tool(
         if gc_was_enabled:
             gc.enable()
     elapsed = time.monotonic() - start
+    if elapsed > timeout:
+        verdict = None
     sound = True
     if verdict is Verdict.TERMINATING:
         sound = bench.expected is Verdict.TERMINATING
@@ -376,24 +241,20 @@ def _bench_spec(bench: BenchProgram):
     return bench.name
 
 
-#: First message a shard worker sends, right before analysis begins: the
-#: parent starts the wall-clock budget from its arrival, so process spawn
-#: and import overhead do not eat into the run's budget (keeping
-#: borderline runs on the same side of the deadline as a sequential run).
-_SHARD_STARTED = "__shard_started__"
-
-#: Extra wall-clock (seconds, on top of the budget, measured from spawn)
-#: granted to a worker that never even reported _SHARD_STARTED before the
-#: parent declares it wedged and kills it.
+#: Wall-clock seconds, on top of the run's timeout and counted from spawn,
+#: before the parent declares a shard worker wedged and kills it.  Workers
+#: stop themselves at their deadline (:func:`run_tool`); this backstop only
+#: catches one stuck where no deadline check runs (spawn, import, cold
+#: start, process teardown).
 _SPAWN_GRACE = 60.0
 
 
-def _shard_worker(tool: Analyzer, bench_spec, conn) -> None:
+def _shard_worker(tool: Analyzer, bench_spec, timeout: float, conn) -> None:
     """Worker body: run one (tool, program) pair and pipe the outcome back.
 
-    No in-child timeout machinery: the parent enforces the wall clock by
-    ``join(timeout)`` + kill, so a worker stuck inside solver cleanup is
-    simply terminated instead of juggling signals."""
+    The run stops itself at its deadline exactly as an in-process
+    :func:`run_tool` does, so a sharded T/O is the same outcome as a
+    sequential one."""
     try:
         if isinstance(bench_spec, BenchProgram):
             bench = bench_spec
@@ -401,12 +262,7 @@ def _shard_worker(tool: Analyzer, bench_spec, conn) -> None:
             from repro.bench.programs import by_name
 
             bench = by_name(bench_spec)
-        conn.send(
-            run_tool(
-                tool, bench, enforce_timeout=False,
-                on_start=lambda: conn.send(_SHARD_STARTED),
-            )
-        )
+        conn.send(run_tool(tool, bench, timeout=timeout))
     except BaseException as exc:  # relayed to and re-raised by the parent
         try:
             conn.send(exc)
@@ -425,11 +281,12 @@ def run_tools_sharded(
 
     Results come back in **task order** regardless of completion order, so
     tables built on top are deterministic.  ``jobs=1`` is the exact
-    sequential path (in-process, signal-based timeouts); with ``jobs > 1``
-    each pair runs in its own forked worker and the parent enforces the
-    wall-clock budget: a worker still alive past its deadline is
-    terminated (then killed) and recorded as a timeout, without disturbing
-    the other shards.
+    sequential path (in-process); with ``jobs > 1`` each pair runs in its
+    own forked worker, which stops itself at its deadline like an
+    in-process run.  The parent only backstops a wedged worker: one still
+    alive ``timeout + _SPAWN_GRACE`` seconds after spawn is terminated
+    (then killed) and recorded as a timeout, without disturbing the other
+    shards.
     """
     from repro.core.scheduler import resolve_jobs
 
@@ -450,7 +307,7 @@ def run_tools_sharded(
                 recv, send = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(tool, _bench_spec(bench), send),
+                    args=(tool, _bench_spec(bench), timeout, send),
                     daemon=True,
                 )
                 proc.start()
@@ -460,26 +317,27 @@ def run_tools_sharded(
                 )
                 next_task += 1
             now = time.monotonic()
-            soonest = min(s.deadline(timeout) for s in running.values())
-            # Wake on worker exit (sentinel) or any pipe message (the
-            # started signal that starts a shard's budget clock).  A recv
-            # whose payload already arrived is excluded: its pending EOF
-            # would make wait() return immediately forever, busy-spinning
-            # until the worker exits.
+            soonest = min(s.spawned for s in running.values())
+            kill_after = timeout + _SPAWN_GRACE
+            # Wake on worker exit (sentinel) or its payload, which is read
+            # before the worker exits so a large one cannot block its send.
+            # A recv whose payload already arrived is excluded: its pending
+            # EOF would make wait() return immediately forever,
+            # busy-spinning until the worker exits.
             waitables = list(running) + [
                 s.recv for s in running.values()
                 if s.payload is None and not s.dead and not s.recv.closed
             ]
             multiprocessing.connection.wait(
-                waitables, timeout=max(0.0, soonest - now)
+                waitables, timeout=max(0.0, soonest + kill_after - now)
             )
             now = time.monotonic()
             for sentinel in list(running):
                 shard = running[sentinel]
-                shard.drain(now)
+                shard.drain()
                 tool, bench = pairs[shard.index]
                 if not shard.proc.is_alive():
-                    shard.drain(now)  # result sent between drain and exit
+                    shard.drain()  # result sent between drain and exit
                     shard.proc.join()
                     shard.close()
                     del running[sentinel]
@@ -492,10 +350,10 @@ def run_tools_sharded(
                         payload = BenchOutcome(
                             program=bench.name, tool=tool.name,
                             verdict=Verdict.UNKNOWN,
-                            seconds=shard.elapsed(now), sound=True,
+                            seconds=now - shard.spawned, sound=True,
                         )
                     results[shard.index] = payload
-                elif now >= shard.deadline(timeout):
+                elif now >= shard.spawned + kill_after:
                     shard.proc.terminate()
                     shard.proc.join(5.0)
                     if shard.proc.is_alive():  # pragma: no cover - stubborn
@@ -514,7 +372,7 @@ def run_tools_sharded(
                     else:
                         results[shard.index] = BenchOutcome(
                             program=bench.name, tool=tool.name, verdict=None,
-                            seconds=shard.elapsed(now), sound=True,
+                            seconds=now - shard.spawned, sound=True,
                         )
     finally:
         for shard in running.values():
@@ -527,45 +385,27 @@ def run_tools_sharded(
 class _Shard:
     """Parent-side bookkeeping for one in-flight shard worker."""
 
-    __slots__ = (
-        "proc", "index", "recv", "spawned", "started", "payload", "dead",
-    )
+    __slots__ = ("proc", "index", "recv", "spawned", "payload", "dead")
 
     def __init__(self, proc, index: int, recv, spawned: float):
         self.proc = proc
         self.index = index
         self.recv = recv
         self.spawned = spawned
-        self.started: Optional[float] = None  # _SHARD_STARTED arrival
         self.payload = None  # BenchOutcome or relayed exception
         self.dead = False  # pipe hit EOF without a payload
 
-    def drain(self, now: float) -> None:
-        """Consume whatever the worker has piped so far."""
+    def drain(self) -> None:
+        """Consume the worker's payload if it has arrived."""
         try:
-            while self.payload is None and not self.dead \
+            if self.payload is None and not self.dead \
                     and not self.recv.closed and self.recv.poll(0):
-                msg = self.recv.recv()
-                if msg == _SHARD_STARTED:
-                    self.started = now
-                else:
-                    self.payload = msg
+                self.payload = self.recv.recv()
         except (EOFError, OSError):
             # The sender closed without delivering a payload (crash, or
             # its exception failed to pickle).  Mark the pipe dead so the
             # wait loop stops selecting on its permanently-ready EOF.
             self.dead = True
-
-    def deadline(self, timeout: float) -> float:
-        """Kill-after time: budget runs from the started signal; a worker
-        that never signalled gets spawn + budget + grace before it is
-        declared wedged."""
-        if self.started is not None:
-            return self.started + timeout
-        return self.spawned + timeout + _SPAWN_GRACE
-
-    def elapsed(self, now: float) -> float:
-        return now - (self.started if self.started is not None else self.spawned)
 
     def close(self) -> None:
         try:

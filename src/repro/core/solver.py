@@ -19,7 +19,10 @@ methods ([TNT-INF]) and resolves their unknown pairs:
 from __future__ import annotations
 
 import logging
+import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import networkx as nx
 
 from repro.arith.context import SolverContext
 from repro.arith.formula import Formula
@@ -85,16 +88,12 @@ class TNTSolver:
         self._deadline: Optional[float] = None
 
     def _expired(self) -> bool:
-        import time
-
         return self._deadline is not None and time.monotonic() > self._deadline
 
     # -- Fig. 6 -----------------------------------------------------------------
 
     def solve(self, group: Sequence[MethodAssumptions]) -> None:
         """Resolve the unknown pairs of one mutually recursive group."""
-        import time
-
         if self.time_budget is not None:
             self._deadline = time.monotonic() + self.time_budget
         for ma in group:
@@ -117,8 +116,6 @@ class TNTSolver:
             graph.add_vertices(leaves)
             restart = False
             stale: set = set()
-            import networkx as nx
-
             for scc in graph.sccs_bottom_up():
                 scc = [u for u in scc if u in set(leaves)]
                 if not scc:
@@ -184,8 +181,6 @@ class TNTSolver:
         """Resolve a recursion-free scenario: Loop when every exit is
         covered by a non-terminating callee, Term when no such callee
         blocks any exit, and a case split / MayLoop otherwise."""
-        from repro.core.nonterm import prove_nonterm
-
         ok, conditions = prove_nonterm(scc, post, self.store, ctx=self.ctx)
         if ok:
             for u in scc:

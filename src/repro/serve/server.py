@@ -14,9 +14,10 @@ Architecture (see ``docs/serve.md`` for the full picture)::
 Everything stateful -- the dedup table, counters, the pending-job gauge
 -- is touched from the event-loop thread only; worker threads run the
 pure analysis function and hand their result back through the executor
-future.  Worker threads never install signal handlers: per-request
-wall-clock caps go through :func:`repro.bench.runner.run_with_timeout`,
-which routes non-main-thread callers to its watchdog fallback.
+future.  The per-request wall-clock cap is a
+:func:`repro.arith.fm.deadline` scoped on the worker thread itself: the
+analysis stops at its next FM call past the limit, the worker is free for
+the next request, and no extra thread is started per request.
 
 The daemon deliberately never calls ``clear_caches``: resident caches
 are the point.  Growth is bounded by the LRU caps of every memo layer
@@ -73,9 +74,10 @@ class ServiceConfig:
     #: Spec-store directory shared by every worker (``None`` disables the
     #: persistent layer; dedup and resident caches still apply).
     store: Optional[str] = None
-    #: Hard per-analysis wall-clock cap (seconds), enforced by
-    #: run_with_timeout around the whole inference; requests may ask for
-    #: smaller per-SCC budgets but never exceed this.
+    #: Hard per-analysis wall-clock cap (seconds): the whole inference runs
+    #: inside ``repro.arith.fm.deadline`` on its worker thread and stops
+    #: itself once the cap passes; requests may ask for smaller per-SCC
+    #: budgets but never exceed this.
     max_analysis_seconds: float = 120.0
     #: Reject request bodies larger than this many bytes.
     max_body_bytes: int = DEFAULT_MAX_SOURCE_BYTES + 4096
@@ -385,22 +387,20 @@ class AnalysisService:
         readers.  Returns
         ``(status, payload, cacheable, stats_dict, seconds)``."""
         from repro.analysis.diagnostics import ProgramInvalid
-        from repro.bench.runner import AnalysisTimeout, run_with_timeout
+        from repro.arith.fm import AnalysisTimeout, deadline
         from repro.core.pipeline import infer_program
 
         start = time.monotonic()
         try:
-            result = run_with_timeout(
-                lambda: infer_program(
+            with deadline(self.config.max_analysis_seconds):
+                result = infer_program(
                     program,
                     max_iter=params["max_iter"],
                     time_budget=params["time_budget"],
                     store=self._store,
                     validate=params["validate"],
                     language=params["language"],
-                ),
-                self.config.max_analysis_seconds,
-            )
+                )
             verdicts = {m: str(result.verdict(m)) for m in result.specs}
             specs = {m: result.specs[m].pretty() for m in result.specs}
             stats = result.solver_stats.as_dict() if result.solver_stats else {}

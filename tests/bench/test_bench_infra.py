@@ -78,6 +78,8 @@ class TestRunner:
         out = run_tool(HipTNTPlus(bench.main, time_budget=50.0), bench,
                        timeout=0.05)
         assert out.timed_out
+        # the run stops itself at its next deadline check
+        assert out.seconds < 0.05 + 0.25
 
     def test_tally_columns(self):
         outs = [
@@ -107,85 +109,34 @@ class TestRunner:
 
 
 class TestTimeoutMachinery:
-    def test_nested_timeout_restores_outer_timer(self):
-        """An inner run_with_timeout must not clobber an enclosing armed
-        ITIMER_REAL: the outer budget still fires after the inner scope."""
-        import signal
-        import time
-
-        from repro.bench.runner import AnalysisTimeout, run_with_timeout
-
-        def inner_then_spin():
-            run_with_timeout(lambda: time.sleep(0.05), 5.0)
-            delay, _interval = signal.getitimer(signal.ITIMER_REAL)
-            assert delay > 0, "outer timer was clobbered by the nested scope"
-            t0 = time.monotonic()
-            while time.monotonic() - t0 < 10.0:
-                pass
-            return "unreachable"
-
-        t0 = time.monotonic()
-        with pytest.raises(AnalysisTimeout):
-            run_with_timeout(inner_then_spin, 0.4)
-        assert time.monotonic() - t0 < 5.0
-
     def test_inner_budget_capped_by_outer(self):
         """A nested scope with a larger budget still expires when the
         enclosing budget does."""
         import time
 
-        from repro.bench.runner import AnalysisTimeout, run_with_timeout
-
-        def spin():
-            t0 = time.monotonic()
-            while time.monotonic() - t0 < 10.0:
-                pass
+        from repro.arith.fm import AnalysisTimeout, check_deadline, deadline
 
         t0 = time.monotonic()
         with pytest.raises(AnalysisTimeout):
-            run_with_timeout(lambda: run_with_timeout(spin, 60.0), 0.3)
+            with deadline(0.3):
+                with deadline(60.0):
+                    while time.monotonic() - t0 < 10.0:
+                        check_deadline()
         assert time.monotonic() - t0 < 5.0
 
-    def test_off_main_thread_watchdog(self):
-        """Off the main thread, signal.signal is unavailable: the runner
-        falls back to a daemon-thread watchdog."""
-        import threading
-        import time
-
-        from repro.bench.runner import AnalysisTimeout, run_with_timeout
-
-        results = {}
-
-        def worker():
-            try:
-                results["quick"] = run_with_timeout(lambda: "done", 5.0)
-            except BaseException as exc:  # pragma: no cover - debug aid
-                results["quick"] = exc
-            try:
-                run_with_timeout(lambda: time.sleep(10.0), 0.2)
-                results["slow"] = "no-timeout"
-            except AnalysisTimeout:
-                results["slow"] = "timeout"
-
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join(30.0)
-        assert results["quick"] == "done"
-        assert results["slow"] == "timeout"
-
     def test_watchdog_relays_exceptions(self):
+        """An analyzer's own exception leaves a deadline scope unchanged,
+        on a worker thread as on the main thread."""
         import threading
 
-        from repro.bench.runner import run_with_timeout
+        from repro.arith.fm import deadline
 
         results = {}
 
         def worker():
-            def boom():
-                raise ValueError("inner failure")
-
             try:
-                run_with_timeout(boom, 5.0)
+                with deadline(5.0):
+                    raise ValueError("inner failure")
             except ValueError as exc:
                 results["exc"] = str(exc)
 
@@ -194,38 +145,13 @@ class TestTimeoutMachinery:
         t.join(30.0)
         assert results["exc"] == "inner failure"
 
-    def test_capability_probe_falls_back_to_watchdog(self, monkeypatch):
-        """When the signal layer refuses SIGALRM installation even on the
-        main thread (embedded/non-main interpreters), the probe detects
-        it before fn starts and routes to the watchdog -- fn must run
-        exactly once, on the watchdog thread."""
-        from repro.bench import runner
-
-        def refuse(signum, handler):
-            raise ValueError(
-                "signal only works in main thread of the main interpreter"
-            )
-
-        monkeypatch.setattr(runner.signal, "signal", refuse)
-        import threading
-
-        calls = []
-
-        def fn():
-            calls.append(threading.current_thread().name)
-            return 42
-
-        assert runner.run_with_timeout(fn, 5.0) == 42
-        assert calls == ["bench-watchdog-worker"]
-
     def test_inference_under_budget_from_worker_thread(self):
-        """The serve-daemon regression: a full inference wrapped in
-        run_with_timeout must work from a worker-pool thread (where
-        SIGALRM is forbidden) and return the same verdict as on the main
-        thread."""
+        """The serve-daemon regression: a full inference under a deadline
+        must work from a worker-pool thread and return the same verdict as
+        on the main thread."""
         import threading
 
-        from repro.bench.runner import run_with_timeout
+        from repro.arith.fm import deadline
         from repro.core import infer_source
         from repro.core.pipeline import Verdict
 
@@ -236,9 +162,8 @@ int down(int n) { if (n <= 0) { return 0; } else { return down(n - 1); } }
 
         def worker():
             try:
-                result = run_with_timeout(
-                    lambda: infer_source(source), 60.0
-                )
+                with deadline(60.0):
+                    result = infer_source(source)
                 results["verdict"] = result.verdict("down")
             except BaseException as exc:  # pragma: no cover - debug aid
                 results["verdict"] = exc
@@ -247,3 +172,39 @@ int down(int n) { if (n <= 0) { return 0; } else { return down(n - 1); } }
         t.start()
         t.join(120.0)
         assert results["verdict"] is Verdict.TERMINATING
+
+    def test_per_thread_deadlines(self):
+        """Deadlines are scoped per thread: one thread's analysis stops at
+        its limit while another, with no limit, finishes with its usual
+        verdict."""
+        import threading
+
+        from repro.arith.fm import AnalysisTimeout, deadline
+        from repro.arith.solver import clear_caches
+        from repro.core.pipeline import infer_program
+
+        clear_caches()  # offset-trap cold: seconds, not a warm replay
+        results = {}
+
+        def limited():
+            try:
+                with deadline(0.3):
+                    infer_program(by_name("offset-trap").program())
+                results["limited"] = "finished"
+            except AnalysisTimeout:
+                results["limited"] = "timeout"
+
+        def unlimited():
+            bench = by_name("even-odd-mutual")
+            results["unlimited"] = infer_program(bench.program()).verdict(
+                bench.main
+            )
+
+        threads = [threading.Thread(target=limited),
+                   threading.Thread(target=unlimited)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120.0)
+        assert results["limited"] == "timeout"
+        assert results["unlimited"] is Verdict.NONTERMINATING

@@ -1,11 +1,12 @@
-"""Sharded bench runner: parent-enforced timeouts, deterministic ordering,
-sequential/parallel outcome parity, and the SIGALRM bugfix regressions."""
+"""Sharded bench runner: shard timeouts, deterministic ordering,
+sequential/parallel outcome parity, and the swallowed-timeout regressions
+of the cooperative deadline."""
 
-import signal
 import time
 
 import pytest
 
+from repro.arith.fm import check_deadline, deadline
 from repro.bench.programs import BenchProgram, by_name
 from repro.bench.runner import (
     AnalysisTimeout,
@@ -14,7 +15,6 @@ from repro.bench.runner import (
     _bench_spec,
     run_tool,
     run_tools_sharded,
-    run_with_timeout,
 )
 from repro.core.pipeline import Verdict
 
@@ -111,91 +111,73 @@ class TestShardTimeouts:
         assert all(o.verdict is Verdict.TERMINATING for o in outs)
 
 
+def _spin_swallowing(seconds: float) -> int:
+    """Spin for *seconds*, checking the deadline like an analysis does and
+    swallowing every :class:`AnalysisTimeout` (a cleanup path eating the
+    raise); returns how many it swallowed."""
+    swallowed = 0
+    t0 = time.monotonic()
+    while time.monotonic() - t0 < seconds:
+        try:
+            check_deadline()
+        except AnalysisTimeout:
+            swallowed += 1
+    return swallowed
+
+
 class TestTimeoutFlagFixes:
-    """Regressions for the SIGALRM bugfixes: a timeout swallowed inside
-    the analyzed function's cleanup must still classify as a timeout, and
-    teardown must restore the previous handler on every path."""
+    """A timeout swallowed inside the analyzed function must still
+    classify as a timeout."""
 
     def test_swallowed_timeout_still_raises(self):
-        def swallowing():
-            try:
-                t0 = time.monotonic()
-                while time.monotonic() - t0 < 30.0:
-                    pass
-                return "never"
-            except AnalysisTimeout:
-                # simulates a finally/solver-cleanup eating the raise
-                return "survived cleanup"
-
+        """The deadline stays passed: a swallowed raise is followed by
+        another at the next check."""
         t0 = time.monotonic()
         with pytest.raises(AnalysisTimeout):
-            run_with_timeout(swallowing, 0.3)
+            with deadline(0.3):
+                assert _spin_swallowing(0.5) > 0
+                check_deadline()
         assert time.monotonic() - t0 < 10.0
 
-    def test_handler_restored_when_fn_raises(self):
-        before = signal.getsignal(signal.SIGALRM)
-
-        def boom():
-            raise ValueError("analyzer exploded")
-
-        with pytest.raises(ValueError):
-            run_with_timeout(boom, 5.0)
-        assert signal.getsignal(signal.SIGALRM) is before
-        delay, _interval = signal.getitimer(signal.ITIMER_REAL)
-        assert delay == 0  # timer fully disarmed
-
-    def test_handler_restored_after_swallowed_timeout(self):
-        before = signal.getsignal(signal.SIGALRM)
-
-        def swallowing():
-            try:
-                t0 = time.monotonic()
-                while time.monotonic() - t0 < 30.0:
-                    pass
-            except AnalysisTimeout:
-                pass
-            return None
-
-        with pytest.raises(AnalysisTimeout):
-            run_with_timeout(swallowing, 0.3)
-        assert signal.getsignal(signal.SIGALRM) is before
-        delay, _interval = signal.getitimer(signal.ITIMER_REAL)
-        assert delay == 0
-
     def test_successful_run_unaffected(self):
-        assert run_with_timeout(lambda: 41 + 1, 5.0) == 42
+        with deadline(5.0):
+            check_deadline()
+            value = 41 + 1
+        assert value == 42
+        with deadline(0.01):
+            pass
+        time.sleep(0.05)
+        check_deadline()  # the scope is gone: no limit applies any more
 
     def test_secondary_error_after_swallowed_timeout_is_timeout(self):
-        """If the budget expired, the injected raise was eaten, and some
-        follow-up error escapes the half-torn-down analyzer state, the
-        run classifies as a timeout -- not as an analyzer failure."""
+        """If the budget expired, the raise was eaten, and some follow-up
+        error escapes the half-torn-down analyzer state, the run
+        classifies as a timeout -- not as an analyzer failure."""
 
-        def swallow_then_explode():
-            try:
-                t0 = time.monotonic()
-                while time.monotonic() - t0 < 30.0:
-                    pass
-            except AnalysisTimeout:
-                raise RuntimeError("cleanup failed on torn-down state")
+        class ExplodingAnalyzer:
+            name = "exploder"
 
-        with pytest.raises(AnalysisTimeout):
-            run_with_timeout(swallow_then_explode, 0.3)
+            def analyze(self, program):
+                try:
+                    while True:
+                        check_deadline()
+                except AnalysisTimeout:
+                    raise RuntimeError("cleanup failed on torn-down state")
+
+        out = run_tool(ExplodingAnalyzer(), by_name("plain-countdown"),
+                       timeout=0.3)
+        assert out.timed_out
 
     def test_run_tool_classifies_swallowed_timeout(self):
-        """End to end: an analyzer whose cleanup swallows the timeout
-        exception is reported as T/O, never as a (half-finished)
+        """End to end: an analyzer that swallows the timeout and runs 1 s
+        past its limit is reported as T/O, never as a (half-finished)
         success."""
 
         class SwallowingAnalyzer:
             name = "swallower"
 
             def analyze(self, program):
-                try:
-                    t0 = time.monotonic()
-                    while time.monotonic() - t0 < 30.0:
-                        pass
-                except AnalysisTimeout:
-                    pass  # cleanup ate the raise
+                _spin_swallowing(1.3)
                 return Verdict.TERMINATING  # a lie the runner must reject
 
         bench = by_name("plain-countdown")

@@ -329,3 +329,50 @@ class TestQueue:
             finally:
                 await service.shutdown()
         run(scenario())
+
+
+class TestTimeouts:
+    def test_timed_out_analysis_stops_and_frees_its_worker(self):
+        """A request past ``max_analysis_seconds`` answers 504, and the
+        analysis itself stops: no thread keeps computing it, and the one
+        pool worker serves the next request."""
+        import threading
+
+        from repro.arith.solver import clear_caches
+        from repro.bench.programs import by_name
+
+        clear_caches()  # offset-trap cold: seconds, not a warm replay
+
+        async def scenario():
+            before = set(threading.enumerate())
+            service, port = await started(ServiceConfig(
+                port=0, workers=1, max_analysis_seconds=0.3,
+            ))
+            try:
+                status, _, body = await analyze(
+                    port, by_name("offset-trap").source
+                )
+                assert status == 504
+                assert json.loads(body)["error"] == "analysis-timeout"
+                status, _, body = await request(port, "GET", "/stats")
+                assert json.loads(body)["analyses"]["timed_out"] == 1
+
+                def strays():
+                    return [
+                        t for t in threading.enumerate()
+                        if t not in before and t.is_alive()
+                        and not t.name.startswith("repro-serve-worker")
+                    ]
+
+                t0 = time.monotonic()
+                while strays() and time.monotonic() - t0 < 0.5:
+                    await asyncio.sleep(0.02)
+                assert strays() == []
+
+                status, _, body = await analyze(
+                    port, by_name("plain-countdown").source
+                )
+                assert status == 200
+            finally:
+                await service.shutdown()
+        run(scenario())
