@@ -1,8 +1,8 @@
 """Exact linear integer arithmetic: terms, formulas, decision procedures.
 
 This package is the reproduction's stand-in for the Omega/Z3 back ends used
-by the original HipTNT+ artifact.  Everything is computed with exact
-``fractions.Fraction`` arithmetic:
+by the original HipTNT+ artifact.  Everything is computed exactly, in
+integers and, where a coefficient is not integral, ``fractions.Fraction``:
 
 * :mod:`repro.arith.terms` -- linear expressions over named variables.
 * :mod:`repro.arith.formula` -- quantifier-free boolean structure plus
@@ -23,6 +23,7 @@ by the original HipTNT+ artifact.  Everything is computed with exact
 from repro.arith.terms import LinExpr, var, const
 from repro.arith.formula import (
     Atom,
+    DNFLimit,
     Rel,
     Formula,
     TRUE,
@@ -49,6 +50,7 @@ __all__ = [
     "var",
     "const",
     "Atom",
+    "DNFLimit",
     "Rel",
     "Formula",
     "TRUE",

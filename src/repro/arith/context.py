@@ -51,6 +51,7 @@ from repro.arith.formula import (
     And,
     Atom,
     BoolConst,
+    DNFLimit,
     Exists,
     FALSE,
     Formula,
@@ -230,7 +231,7 @@ class SolverContext:
 
     def _assumption_cubes(self) -> List[Tuple[Atom, ...]]:
         """Cumulative DNF cubes of the assumption stack, computed
-        incrementally frame by frame.  Raises :class:`MemoryError` on
+        incrementally frame by frame.  Raises :class:`DNFLimit` on
         cube-product blow-up (callers fall back to monolithic queries)."""
         prev: List[Tuple[Atom, ...]] = [()]
         for frame in self._frames:
@@ -243,7 +244,7 @@ class SolverContext:
                         for c in cubes:
                             step.append(c + pc_t)
                             if len(step) > _ASSUMPTION_CUBE_LIMIT:
-                                raise MemoryError(
+                                raise DNFLimit(
                                     "assumption cube product beyond limit"
                                 )
                     cubes = step
@@ -278,7 +279,7 @@ class SolverContext:
         try:
             with self._fm_accounting():
                 result = self._raw_sat(p)
-        except MemoryError:
+        except DNFLimit:
             return True
         self._sat.put(key, result)
         return result
@@ -288,7 +289,7 @@ class SolverContext:
             return any_cube_sat(p)
         try:
             acubes = self._assumption_cubes()
-        except MemoryError:
+        except DNFLimit:
             # Product blow-up: degrade to one monolithic conjunction.
             return any_cube_sat(conj(self._assumption_formula(), p))
         return any_cube_sat(p, acubes)
@@ -302,7 +303,7 @@ class SolverContext:
         """Validity of a (possibly existential) formula."""
         try:
             return self.is_unsat(neg(self._eliminate_quantifiers(p)))
-        except MemoryError:
+        except DNFLimit:
             return False
 
     def entails(self, antecedent: Formula, consequent: Formula) -> bool:
@@ -324,7 +325,7 @@ class SolverContext:
             goal = conj(
                 antecedent, neg(self._eliminate_quantifiers(consequent))
             )
-        except MemoryError:
+        except DNFLimit:
             return False  # blow-up: conservatively fail the obligation
         # The internal sat probe still populates/reuses the sat cache but
         # is not double-counted as a caller-issued query.
@@ -349,7 +350,7 @@ class SolverContext:
                     antecedent, neg(self._eliminate_quantifiers(consequent))
                 )
                 result = not any_cube_sat(goal)
-        except MemoryError:
+        except DNFLimit:
             return False
         self._entail.put(key, result)
         return result
@@ -368,7 +369,7 @@ class SolverContext:
         """Quantifier elimination: ``exists eliminated-vars . p``.
 
         Exactly one of *keep*/*eliminate* must be given.  The result
-        mentions only the kept variables.  :class:`MemoryError` propagates
+        mentions only the kept variables.  :class:`DNFLimit` propagates
         on DNF blow-up (callers choose their own sound fallback)."""
         if (keep is None) == (eliminate is None):
             raise ValueError("specify exactly one of keep= or eliminate=")
@@ -444,7 +445,7 @@ class SolverContext:
         semantics)."""
         try:
             cubes = to_dnf(p)
-        except MemoryError:
+        except DNFLimit:
             return p
         if len(cubes) > 12:
             # Large disjunctions: quadratic pruning/subsumption would
@@ -521,7 +522,7 @@ def any_cube_sat(
     """Whether some cube of *p*, extended by some prefix, is satisfiable.
 
     The answer, the leaves handed to ``fm.cube_is_sat`` (in order, atom
-    for atom) and the :class:`MemoryError` cap are those of the eager
+    for atom) and the :class:`DNFLimit` cap are those of the eager
 
         for pre in prefixes:
             if pre and not fm.cube_is_sat(pre): continue

@@ -536,7 +536,9 @@ def cube_model(atoms: Sequence[Atom]) -> Optional[Dict[str, Fraction]]:
     env: Dict[str, Fraction] = {}
 
     def rest(row: Row, i: int) -> Fraction:
-        """``row`` without its variable-*i* term, evaluated in *env*."""
+        """``row`` without its variable-*i* term, evaluated in *env*.  A
+        ``Fraction`` even when every entry is an ``int``, so the divisions
+        by a coefficient below stay exact."""
         total = Fraction(row[-1])
         for j, c in enumerate(row[:-1]):
             if c and j != i:

@@ -39,12 +39,17 @@ from typing import (
 )
 
 from repro.arith.lru import LRUCache
-from repro.arith.terms import Coeff, LinExpr, to_linexpr
+from repro.arith.terms import Coeff, LinExpr, intern_node, to_linexpr
 
 #: Global intern table for formula nodes (weak values: entries die with
 #: their last strong referent).  Keys embed the node tag, so one table
 #: serves every class.
 _INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+#: The table's underlying ``key -> weak reference`` dict.  Lookups read it
+#: directly (a C-level ``dict.get``; a dead reference is a miss); inserts
+#: go through :func:`repro.arith.terms.intern_node`.
+_INTERN_DATA: Dict[tuple, "weakref.KeyedRef"] = _INTERN.data
 
 #: Monotone counter handing out interning-order ids; used as the canonical
 #: sort key for conjuncts/disjuncts (deterministic within a run, and across
@@ -69,6 +74,12 @@ class Rel(enum.Enum):
     LE = "<="
     EQ = "=="
     LT = "<"
+
+    # Every atom's intern key hashes its relation; ``Enum.__hash__`` is
+    # Python-level, the identity hash is not.  It differs between
+    # processes, as a str hash does under hash randomisation; no verdict,
+    # spec or solver counter depends on hash order.
+    __hash__ = object.__hash__
 
 
 class Formula:
@@ -155,17 +166,18 @@ class Atom(Formula):
 
     def __new__(cls, expr: LinExpr, rel: Rel):
         key = ("atom", expr, rel)
-        hit = _INTERN.get(key)
-        if hit is not None:
-            return hit
+        ref = _INTERN_DATA.get(key)
+        if ref is not None:
+            hit = ref()
+            if hit is not None:
+                return hit
         self = object.__new__(cls)
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_uid", next(_NODE_COUNTER))
         object.__setattr__(self, "_bound", _UNSET)
-        _INTERN[key] = self
-        return self
+        return intern_node(_INTERN, key, self)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Atom is immutable")
@@ -288,16 +300,17 @@ class NaryOp(Formula):
     def __new__(cls, args: Sequence[Formula]):
         ordered = tuple(sorted(args, key=_node_uid))
         key = (cls._tag, ordered)
-        hit = _INTERN.get(key)
-        if hit is not None:
-            return hit
+        ref = _INTERN_DATA.get(key)
+        if ref is not None:
+            hit = ref()
+            if hit is not None:
+                return hit
         self = object.__new__(cls)
         object.__setattr__(self, "args", ordered)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_fv", None)
         object.__setattr__(self, "_uid", next(_NODE_COUNTER))
-        _INTERN[key] = self
-        return self
+        return intern_node(_INTERN, key, self)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("formula nodes are immutable")
@@ -361,15 +374,16 @@ class Not(Formula):
 
     def __new__(cls, arg: Formula):
         key = ("not", arg)
-        hit = _INTERN.get(key)
-        if hit is not None:
-            return hit
+        ref = _INTERN_DATA.get(key)
+        if ref is not None:
+            hit = ref()
+            if hit is not None:
+                return hit
         self = object.__new__(cls)
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_uid", next(_NODE_COUNTER))
-        _INTERN[key] = self
-        return self
+        return intern_node(_INTERN, key, self)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("formula nodes are immutable")
@@ -409,16 +423,17 @@ class Exists(Formula):
     def __new__(cls, bound: Sequence[str], body: Formula):
         bound = tuple(sorted(set(bound)))
         key = ("exists", bound, body)
-        hit = _INTERN.get(key)
-        if hit is not None:
-            return hit
+        ref = _INTERN_DATA.get(key)
+        if ref is not None:
+            hit = ref()
+            if hit is not None:
+                return hit
         self = object.__new__(cls)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_uid", next(_NODE_COUNTER))
-        _INTERN[key] = self
-        return self
+        return intern_node(_INTERN, key, self)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("formula nodes are immutable")
@@ -706,9 +721,18 @@ def to_nnf(p: Formula, negate: bool = False) -> Formula:
 _DNF_CACHE = LRUCache(100_000)
 
 #: Cube cap of :func:`to_dnf` and :func:`nnf_tree`: a conversion whose
-#: running cube count exceeds it raises :class:`MemoryError`.  Read at
-#: call time.
+#: running cube count exceeds it raises :class:`DNFLimit`.  Read at call
+#: time.
 DNF_LIMIT = 50_000
+
+
+class DNFLimit(MemoryError):
+    """A cube count passed its cap (:data:`DNF_LIMIT`, or the assumption
+    cube product of :class:`repro.arith.context.SolverContext`).
+
+    The analysis catches this type only, so a real out-of-memory error is
+    never mistaken for a cap hit.  It subclasses :class:`MemoryError`, so
+    a caller that catches that still catches a cap hit."""
 
 
 def to_dnf(p: Formula) -> List[List[Atom]]:
@@ -720,7 +744,7 @@ def to_dnf(p: Formula) -> List[List[Atom]]:
     LRU-bounded cache (quantifier-free formulas only -- fresh renaming
     makes quantified results non-reusable).
 
-    Raises :class:`MemoryError` when the running cube count exceeds
+    Raises :class:`DNFLimit` when the running cube count exceeds
     :data:`DNF_LIMIT`.  A quantifier-free formula is counted first, by the
     replay :func:`nnf_tree` uses, so one over the cap is refused before
     any cube is built.
@@ -752,7 +776,7 @@ def nnf_tree(p: Formula) -> NNFTree:
     An And node becomes ``(False, children)`` and an Or node ``(True,
     children)``, so ``true`` is ``(False, ())`` and ``false`` is ``(True,
     ())``; children keep the NNF's order, so a depth-first walk meets the
-    cubes in :func:`to_dnf` order.  Raises :class:`MemoryError` exactly
+    cubes in :func:`to_dnf` order.  Raises :class:`DNFLimit` exactly
     where :func:`to_dnf` would at :data:`DNF_LIMIT`: the conversion replays
     its running cube-count sum and product checks without building a cube.
 
@@ -782,7 +806,7 @@ def _nnf_tree(p: Formula) -> Tuple[NNFTree, int]:
             children.append(child)
             count += n
             if count > DNF_LIMIT:
-                raise MemoryError("DNF explosion beyond configured limit")
+                raise DNFLimit("DNF explosion beyond configured limit")
         return (True, tuple(children)), count
     if isinstance(p, And):
         count = 1
@@ -791,7 +815,7 @@ def _nnf_tree(p: Formula) -> Tuple[NNFTree, int]:
             children.append(child)
             count *= n
             if count > DNF_LIMIT:
-                raise MemoryError("DNF explosion beyond configured limit")
+                raise DNFLimit("DNF explosion beyond configured limit")
         return (False, tuple(children)), count
     raise TypeError(
         f"cannot convert {type(p).__name__} (quantifier-free NNF expected)"
@@ -836,7 +860,7 @@ def _dnf(p: Formula) -> List[List[Atom]]:
         for a in p.args:
             out.extend(_dnf(a))
             if len(out) > DNF_LIMIT:
-                raise MemoryError("DNF explosion beyond configured limit")
+                raise DNFLimit("DNF explosion beyond configured limit")
         return out
     if isinstance(p, And):
         cubes: List[List[Atom]] = [[]]
@@ -844,7 +868,7 @@ def _dnf(p: Formula) -> List[List[Atom]]:
             sub = _dnf(a)
             cubes = [c + s for c in cubes for s in sub]
             if len(cubes) > DNF_LIMIT:
-                raise MemoryError("DNF explosion beyond configured limit")
+                raise DNFLimit("DNF explosion beyond configured limit")
         return cubes
     if isinstance(p, Exists):
         # Rename bound variables to globally fresh ones, then drop the

@@ -1,12 +1,21 @@
 """Linear expressions over named integer variables.
 
 A :class:`LinExpr` represents ``c0 + c1*v1 + ... + cn*vn`` with exact
-rational coefficients.  Instances are immutable, hashable and
+rational coefficients, each stored as a plain ``int`` when it is integral
+and as a :class:`~fractions.Fraction` only when it is not (see
+:func:`_coeff`).  Instances are immutable, hashable and
 **hash-consed**: constructing a :class:`LinExpr` that is structurally equal
 to a live one returns the same object, so structural equality degenerates
 to pointer equality on the fast path and the hash is computed exactly once
 per distinct expression.  The intern table holds weak references only --
 expressions are reclaimed as soon as no formula mentions them.
+
+Because ``Fraction(n) == n`` and ``hash(Fraction(n)) == hash(n)``, storing
+integral coefficients as ``int`` interns exactly the expressions a
+``Fraction``-only representation would; it only makes the arithmetic and
+hashing behind each construction cheaper.  A true division of two
+coefficients must keep a ``Fraction`` operand, since ``int / int`` is a
+float.
 """
 
 from __future__ import annotations
@@ -19,12 +28,37 @@ from typing import Dict, Iterable, Mapping, Tuple, Union
 Coeff = Union[int, Fraction]
 
 
-def _to_fraction(value: Coeff) -> Fraction:
-    if isinstance(value, Fraction):
+def _coeff(value: Coeff) -> Coeff:
+    """*value* in stored form: an ``int`` when integral (a ``bool`` or an
+    integral ``Fraction`` included), else the ``Fraction`` itself."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def intern_node(table: weakref.WeakValueDictionary, key, node):
+    """Intern *node* under *key* in *table* unless a live node is there
+    already; return the interned one.
+
+    The insert is one ``dict.setdefault`` on the table's underlying dict,
+    which the interpreter runs atomically, so two threads building the
+    same node get the same object.  The weak reference carries the
+    table's own removal callback, so the entry dies with the node exactly
+    as one inserted by ``table[key] = node`` would."""
+    ref = weakref.KeyedRef(node, table._remove, key)
+    old = table.data.setdefault(key, ref)
+    if old is ref:
+        return node
+    hit = old()
+    if hit is not None:
+        return hit
+    # a dead node whose removal callback has not run yet
+    table.data[key] = ref
+    return node
 
 
 class LinExpr:
@@ -32,7 +66,8 @@ class LinExpr:
 
     Zero coefficients are never stored, so two expressions are equal exactly
     when they denote the same affine function -- and, thanks to interning,
-    exactly when they are the same object.
+    exactly when they are the same object.  Every coefficient and the
+    constant are in :func:`_coeff` form.
     """
 
     __slots__ = ("_coeffs", "_const", "_hash", "__weakref__")
@@ -41,41 +76,45 @@ class LinExpr:
 
     def __new__(cls, coeffs: Mapping[str, Coeff] = (), constant: Coeff = 0):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        cleaned: Dict[str, Fraction] = {}
+        cleaned: Dict[str, Coeff] = {}
         for name, c in items:
-            f = c if type(c) is Fraction else _to_fraction(c)
-            if f != 0:
-                cleaned[name] = f
-        key_coeffs: Tuple[Tuple[str, Fraction], ...] = tuple(
+            if type(c) is not int:
+                c = _coeff(c)
+            if c:
+                cleaned[name] = c
+        key_coeffs: Tuple[Tuple[str, Coeff], ...] = tuple(
             sorted(cleaned.items())
         )
-        const = constant if type(constant) is Fraction else _to_fraction(constant)
+        const = constant if type(constant) is int else _coeff(constant)
         key = (key_coeffs, const)
-        hit = cls._intern.get(key)
-        if hit is not None:
-            return hit
+        # Look up in the weak table's underlying dict (a C-level get) and
+        # call the weak reference; a dead one is a miss.
+        ref = cls._intern.data.get(key)
+        if ref is not None:
+            hit = ref()
+            if hit is not None:
+                return hit
         self = object.__new__(cls)
         self._coeffs = key_coeffs
         self._const = const
         self._hash = hash(key)
-        cls._intern[key] = self
-        return self
+        return intern_node(cls._intern, key, self)
 
     # -- accessors ---------------------------------------------------------
 
     @property
-    def constant(self) -> Fraction:
+    def constant(self) -> Coeff:
         return self._const
 
     @property
-    def coeffs(self) -> Dict[str, Fraction]:
+    def coeffs(self) -> Dict[str, Coeff]:
         return dict(self._coeffs)
 
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str) -> Coeff:
         for n, c in self._coeffs:
             if n == name:
                 return c
-        return Fraction(0)
+        return 0
 
     def variables(self) -> frozenset:
         return frozenset(n for n, _ in self._coeffs)
@@ -87,10 +126,10 @@ class LinExpr:
 
     def __add__(self, other: Union["LinExpr", Coeff]) -> "LinExpr":
         if not isinstance(other, LinExpr):
-            return LinExpr(dict(self._coeffs), self._const + _to_fraction(other))
+            return LinExpr(self._coeffs, self._const + _coeff(other))
         coeffs = dict(self._coeffs)
         for name, c in other._coeffs:
-            coeffs[name] = coeffs.get(name, _ZERO) + c
+            coeffs[name] = coeffs.get(name, 0) + c
         return LinExpr(coeffs, self._const + other._const)
 
     def __radd__(self, other: Coeff) -> "LinExpr":
@@ -106,7 +145,7 @@ class LinExpr:
         return self.scale(-1)
 
     def scale(self, k: Coeff) -> "LinExpr":
-        k = _to_fraction(k)
+        k = _coeff(k)
         return LinExpr({n: c * k for n, c in self._coeffs}, self._const * k)
 
     def __mul__(self, k: Coeff) -> "LinExpr":
@@ -121,30 +160,32 @@ class LinExpr:
         """Replace each variable in *mapping* by the given expression."""
         if not any(name in mapping for name, _c in self._coeffs):
             return self
-        coeffs: Dict[str, Fraction] = {}
+        coeffs: Dict[str, Coeff] = {}
         const = self._const
         for name, c in self._coeffs:
             repl = mapping.get(name)
             if repl is None:
-                coeffs[name] = coeffs.get(name, _ZERO) + c
+                coeffs[name] = coeffs.get(name, 0) + c
             else:
                 for rn, rc in repl._coeffs:
-                    coeffs[rn] = coeffs.get(rn, _ZERO) + rc * c
+                    coeffs[rn] = coeffs.get(rn, 0) + rc * c
                 const += repl._const * c
         return LinExpr(coeffs, const)
 
     def rename(self, mapping: Mapping[str, str]) -> "LinExpr":
         """Rename variables (non-capturing: all renames happen at once)."""
-        coeffs: Dict[str, Fraction] = {}
+        coeffs: Dict[str, Coeff] = {}
         for name, c in self._coeffs:
             new = mapping.get(name, name)
-            coeffs[new] = coeffs.get(new, Fraction(0)) + c
+            coeffs[new] = coeffs.get(new, 0) + c
         return LinExpr(coeffs, self._const)
 
     def evaluate(self, env: Mapping[str, Coeff]) -> Fraction:
-        total = self._const
+        """The exact value under *env*, always a ``Fraction`` so that a
+        caller may divide it."""
+        total = Fraction(self._const)
         for name, c in self._coeffs:
-            total += c * _to_fraction(env[name])
+            total += c * _coeff(env[name])
         return total
 
     # -- normalisation -------------------------------------------------------
@@ -172,14 +213,11 @@ class LinExpr:
         denominators, with integer coefficients."""
         const = self._const
         den = const.denominator
-        pairs = []
-        for n, c in self._coeffs:
-            d = c.denominator
-            if d != 1:
-                den = math.lcm(den, d)
-            pairs.append((n, c.numerator))
+        for _, c in self._coeffs:
+            if type(c) is not int:
+                den = math.lcm(den, c.denominator)
         if den == 1:
-            return tuple(pairs), const.numerator, 1
+            return self._coeffs, const, 1
         return (
             tuple([(n, c.numerator * (den // c.denominator))
                    for n, c in self._coeffs]),
@@ -236,8 +274,6 @@ class LinExpr:
         return text
 
 
-_ZERO = Fraction(0)
-
 
 def tighten(row: Tuple[int, ...], le: bool) -> Tuple[int, ...]:
     """The integer-tightening rule on ``row = (c_1, ..., c_n, k)``, read
@@ -282,7 +318,7 @@ def const(k: Coeff) -> LinExpr:
 
 def linear_combination(pairs: Iterable[Tuple[Coeff, str]], constant: Coeff = 0) -> LinExpr:
     """Build ``constant + sum(c*v for c, v in pairs)``."""
-    coeffs: Dict[str, Fraction] = {}
+    coeffs: Dict[str, Coeff] = {}
     for c, v in pairs:
-        coeffs[v] = coeffs.get(v, Fraction(0)) + _to_fraction(c)
+        coeffs[v] = coeffs.get(v, 0) + _coeff(c)
     return LinExpr(coeffs, constant)

@@ -20,6 +20,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arith.formula import (
+    DNFLimit,
     Formula,
     TRUE,
     atom_ge,
@@ -83,7 +84,7 @@ class RecurrentSetProver:
                     continue
                 try:
                     exit_regions.append(self.ctx.project(t.ctx, keep=set(params)))
-                except MemoryError:
+                except DNFLimit:
                     exit_regions.append(TRUE)
             out.append((params, edges, disj(*exit_regions)))
         return out
@@ -122,7 +123,7 @@ class RecurrentSetProver:
         for e in edges:
             try:
                 guard = self.ctx.project(e.ctx, keep=set(e.src_args))
-            except MemoryError:
+            except DNFLimit:
                 continue
             renamed = guard.rename(dict(zip(e.src_args, params)))
             cands.append(renamed)
@@ -161,7 +162,7 @@ class RecurrentSetProver:
                         conj(e.ctx, src_inst, neg(dst_inst)),
                         keep=set(e.src_args),
                     )
-                except MemoryError:
+                except DNFLimit:
                     return None
                 refined = conj(
                     refined, neg(bad.rename(dict(zip(e.src_args, params))))

@@ -24,7 +24,9 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.arith.context import SolverContext
-from repro.arith.formula import FALSE, Formula, TRUE, conj, disj, neg
+from repro.arith.formula import (
+    DNFLimit, FALSE, Formula, TRUE, conj, disj, neg,
+)
 from repro.arith.solver import dnf_disjuncts
 from repro.core.assumptions import PostAssume, PreAssume
 from repro.core.predicates import (
@@ -47,7 +49,7 @@ def syn_base(ma: MethodAssumptions, ctx: SolverContext) -> Formula:
     for a in ma.pre_assumptions:
         try:
             region = ctx.project(a.ctx, keep=params)
-        except MemoryError:
+        except DNFLimit:
             region = TRUE  # over-approximating rho only shrinks the base
         if isinstance(a.rhs, PreRef):
             recursive_regions.append(region)
@@ -63,7 +65,7 @@ def syn_base(ma: MethodAssumptions, ctx: SolverContext) -> Formula:
                 beta = conj(beta, neg(g))
         try:
             base_regions.append(ctx.project(beta, keep=params))
-        except MemoryError:
+        except DNFLimit:
             continue  # dropping a base contribution is sound (under-approx)
     rho = disj(*recursive_regions, *mayloop_regions)
     percent = disj(*base_regions)
@@ -109,7 +111,7 @@ def refine_base(
         cases.append(Case(ctx.simplify(beta), TERM, POST_TRUE))
     try:
         regions = exclusive_partition(neg(beta), ctx=ctx)
-    except MemoryError:
+    except DNFLimit:
         remainder = neg(beta)
         regions = [remainder] if ctx.is_sat(remainder) else []
     for mu in regions:

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.arith.farkas import LPProblem, add_implication
 from repro.arith.formula import (
     Atom,
+    DNFLimit,
     FALSE,
     Formula,
     Rel,
@@ -105,7 +106,7 @@ def check_unreachable(
     try:
         lhs = ctx.project(context, keep=keep)
         rhs = ctx.project(conj(context, disj(*targets)), keep=keep)
-    except MemoryError:
+    except DNFLimit:
         return False
     return ctx.entails(lhs, rhs)
 
@@ -136,7 +137,7 @@ def abduce_conditions(
                 continue
             try:
                 alpha = _abduce_one(context, beta, params, ctx)
-            except MemoryError:
+            except DNFLimit:
                 alpha = None  # blow-up: skip this candidate
             if alpha is not None:
                 conditions.append(alpha)
@@ -162,7 +163,7 @@ def _abduce_one(
     others = (context.free_vars() | beta.free_vars()) - set(params)
     try:
         wp = neg(ctx.project(conj(context, neg(beta)), keep=set(params)))
-    except MemoryError:
+    except DNFLimit:
         return None
     wp = ctx.simplify(wp)
     if _valid_abduction(context, beta, wp, ctx):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arith.context import SolverContext
-from repro.arith.formula import Formula, TRUE, atom_eq, conj, neg
+from repro.arith.formula import DNFLimit, Formula, TRUE, atom_eq, conj, neg
 from repro.arith.terms import LinExpr, var
 from repro.core.assumptions import PostAssume, PostEntry, PreAssume
 from repro.core.predicates import (
@@ -347,5 +347,5 @@ def _safe_project(ctx, keep, solver):
     (it mentions more variables but is equivalent, hence still sound)."""
     try:
         return solver.project(ctx, keep=set(keep))
-    except MemoryError:
+    except DNFLimit:
         return ctx

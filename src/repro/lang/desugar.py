@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.arith.context import SolverContext
+from repro.arith.formula import BoolConst, DNFLimit
 from repro.lang import ast
 from repro.lang.ast import (
     Assign,
@@ -257,11 +258,9 @@ class _Desugarer:
                     projected = self.ctx.project(
                         method.requires, keep=immutable
                     )
-                    from repro.arith.formula import BoolConst
-
                     if not isinstance(projected, BoolConst):
                         loop_requires = projected
-                except MemoryError:
+                except DNFLimit:
                     loop_requires = None
         loop_method = Method(
             ret_type=ast.VOID,

@@ -15,7 +15,7 @@ import threading
 from repro.arith.formula import atom_ge, atom_le, atom_lt, conj, disj
 from repro.arith.context import SolverContext
 from repro.arith.solver import cache_telemetry, clear_caches
-from repro.arith.terms import var
+from repro.arith.terms import LinExpr, var
 
 x, y = var("x"), var("y")
 
@@ -86,6 +86,42 @@ class TestConcurrentClear:
         for t in threads:
             t.join(30.0)
         assert not failures
+
+
+class TestConcurrentInterning:
+    def test_threads_building_the_same_nodes_get_the_same_objects(self):
+        """Four threads build the same never-seen terms, atoms and
+        conjunctions at once, switching as often as the interpreter
+        allows: every thread gets the same objects."""
+        workers, n = 4, 300
+        for r in range(3):
+            barrier = threading.Barrier(workers)
+            built = [None] * workers
+
+            def build(slot, r=r):
+                barrier.wait()
+                out = []
+                for i in range(n):
+                    e = LinExpr({f"intern{r}_{i}": 1, "intern_y": i % 5 + 1}, i)
+                    le = atom_le(e, 0)
+                    out.append((e, le, conj(le, atom_ge(var("intern_y"), i))))
+                built[slot] = out
+
+            threads = [threading.Thread(target=build, args=(k,))
+                       for k in range(workers)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            for other in built[1:]:
+                for mine, theirs in zip(built[0], other):
+                    assert all(a is b for a, b in zip(mine, theirs)), mine
 
 
 class TestConcurrentLPSolves:

@@ -3,9 +3,11 @@ push/pop assumption stack with incremental DNF cube reuse."""
 
 import pytest
 
-from repro.arith import context, fm
+from repro.arith import context, fm, formula
 from repro.arith.context import LRUCache, SolverContext, SolverStats
-from repro.arith.formula import TRUE, atom_eq, atom_ge, atom_le, conj, disj
+from repro.arith.formula import (
+    DNFLimit, TRUE, atom_eq, atom_ge, atom_le, conj, disj,
+)
 from repro.arith.solver import clear_caches
 from repro.arith.terms import var
 
@@ -188,3 +190,25 @@ class TestFMRouting:
         assert ctx.project(f, keep={"y"}) is not None
         assert ctx.model(f) is not None
         assert {"cube_is_sat", "project_cube", "cube_model"} <= set(calls)
+
+
+class TestDNFLimit:
+    def test_out_of_memory_is_not_read_as_a_cap_hit(self, ctx, monkeypatch):
+        """Only the cube cap degrades a query to "satisfiable"; a real
+        ``MemoryError`` from the decision procedure propagates."""
+        def out_of_memory(atoms):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(fm, "cube_is_sat", out_of_memory)
+        with pytest.raises(MemoryError) as info:
+            ctx.is_sat(conj(atom_ge(x, 0), atom_le(x, y)))
+        assert not isinstance(info.value, DNFLimit)
+
+    def test_cap_hit_degrades_to_satisfiable(self, ctx, monkeypatch):
+        wide = conj(*(disj(atom_le(var(f"w{i}"), 0), atom_ge(var(f"w{i}"), 5))
+                      for i in range(11)))  # 2048 cubes
+        monkeypatch.setattr(formula, "DNF_LIMIT", 1000)
+        clear_caches()
+        with pytest.raises(DNFLimit):
+            formula.nnf_tree(wide)
+        assert ctx.is_sat(conj(wide, atom_le(x, -1), atom_ge(x, 1)))

@@ -5,6 +5,7 @@ import pytest
 from repro.arith import formula
 from repro.arith.formula import (
     Atom,
+    DNFLimit,
     FALSE,
     Rel,
     TRUE,
@@ -118,7 +119,7 @@ class TestNormalForms:
         big = conj(*(disj(atom_le(var(f"v{i}"), 0), atom_ge(var(f"v{i}"), 5))
                      for i in range(40)))
         monkeypatch.setattr(formula, "DNF_LIMIT", 1000)
-        with pytest.raises(MemoryError):
+        with pytest.raises(DNFLimit):
             to_dnf(big)
 
     def test_over_cap_dnf_raises_before_building_cubes(self, monkeypatch):
@@ -132,7 +133,7 @@ class TestNormalForms:
             formula, "_dnf", lambda p: built.append(p) or real(p))
         monkeypatch.setattr(formula, "DNF_LIMIT", 2047)
         clear_dnf_cache()
-        with pytest.raises(MemoryError):
+        with pytest.raises(DNFLimit):
             to_dnf(wide)
         assert built == []
         monkeypatch.setattr(formula, "DNF_LIMIT", 2048)
