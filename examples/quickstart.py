@@ -45,11 +45,10 @@ def main() -> None:
         "found the exact\nterminating and non-terminating regions."
     )
     print(
-        "\nLarger programs: pass jobs=N (e.g. infer_source(src, jobs=2)) "
-        "to analyze\nindependent call-graph SCCs in parallel worker "
-        "processes, and run the\nbenchmark tables with "
-        "`python -m repro.bench fig10 --jobs 4` -- verdicts\nare identical "
-        "to a sequential run (see docs/parallel.md)."
+        "\nMany programs: run the benchmark tables with "
+        "`python -m repro.bench fig10 --jobs 4`\nto analyze one program "
+        "per worker process -- verdicts are identical to a\nsequential "
+        "run (see docs/parallel.md)."
     )
 
     print("\nWarm-store reuse (docs/store.md):")

@@ -83,9 +83,10 @@ def main() -> None:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the benchmark sweep (0 = one per CPU; "
-        "1 = sequential, in-process). Tables are deterministic and "
-        "identical for any jobs value.",
+        help="worker processes for the fig10/fig11/corpus sweep, one "
+        "program per worker (0 = one per CPU; 1 = sequential, "
+        "in-process). Tables are deterministic and identical for any "
+        "jobs value.",
     )
     parser.add_argument(
         "--store", metavar="DIR", default=None,
@@ -107,6 +108,8 @@ def main() -> None:
             parser.error("'analyze' needs at least one FILE")
         if args.store or args.cold:
             parser.error("'analyze' takes no --store/--cold")
+        if args.jobs != 1:
+            parser.error("'analyze' takes no --jobs")
         sys.exit(_analyze_files(args))
     if args.paths:
         parser.error(f"'{args.table}' takes no FILE arguments")
@@ -224,7 +227,7 @@ def _analyze_files(args) -> int:
         try:
             result = infer_source(
                 source, language=language, filename=path,
-                time_budget=min(args.timeout, 15.0), jobs=args.jobs,
+                time_budget=min(args.timeout, 15.0),
             )
         except (SourceError, ProgramInvalid) as exc:
             print(f"{path}: [{language}]", file=sys.stderr)

@@ -212,11 +212,32 @@ def run_tool(
 # ---------------------------------------------------------------------------
 
 
-def _mp_context():
-    """Start method for shard workers (shared with the SCC scheduler)."""
-    from repro.core.scheduler import worker_mp_context
+def resolve_jobs(jobs: int) -> int:
+    """The shared ``jobs`` policy: ``0`` means one worker per CPU;
+    negative values are rejected loudly rather than silently degrading
+    to the sequential path."""
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    if jobs == 0:
+        import os
 
-    return worker_mp_context()
+        return os.cpu_count() or 1
+    return jobs
+
+
+def worker_mp_context():
+    """The multiprocessing start method for shard workers.
+
+    ``fork`` is preferred: workers inherit the parent's interned-formula
+    tables, module caches and benchmark registry for free.  Where
+    ``fork`` is missing (non-POSIX), the default method still works --
+    everything a worker needs is shipped through its process arguments
+    (see :func:`_bench_spec`).
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX fallback
+        return multiprocessing.get_context()
 
 
 def _bench_spec(bench: BenchProgram):
@@ -288,15 +309,13 @@ def run_tools_sharded(
     (then killed) and recorded as a timeout, without disturbing the other
     shards.
     """
-    from repro.core.scheduler import resolve_jobs
-
     pairs = list(pairs)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(pairs) <= 1:
         return [
             run_tool(tool, bench, timeout=timeout) for tool, bench in pairs
         ]
-    ctx = _mp_context()
+    ctx = worker_mp_context()
     results: List[Optional[BenchOutcome]] = [None] * len(pairs)
     next_task = 0
     running: Dict[object, _Shard] = {}  # keyed by process sentinel

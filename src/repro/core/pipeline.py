@@ -12,8 +12,8 @@ For each call-graph SCC (callees first -- rule [TNT-INF]):
 
 :func:`resolve_scc` is that per-group step, tried cheapest rung first
 (bodyless group, pre-analysis certificate, spec-store hit, full
-analysis); :func:`infer_program` runs it over the SCCs in-process or,
-with ``jobs > 1``, through the wave loop of :mod:`repro.core.scheduler`.
+analysis); :func:`infer_program` runs it over the SCCs one at a time,
+callees first, in one process.
 
 Source programs first go through :func:`prepare_program` (validation,
 the interval pre-analysis and desugaring); programs containing heap
@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, TYPE_CHECKING, Union
+from typing import Dict, Iterator, List, Optional, TYPE_CHECKING, Union
 
 from repro.arith.context import SolverContext, SolverStats
 from repro.core.assumptions import filter_post, filter_trivial
@@ -43,12 +43,9 @@ from repro.core.specs import CaseSpec, DefStore
 from repro.core.verifier import MethodAssumptions, Verifier
 from repro.lang import desugar_program, method_sccs
 from repro.lang.ast import Program
-from repro.lang.callgraph import scc_dependencies
 from repro.lang.desugar import LoopOrigin
 
 if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import Future
-
     from repro.analysis.prefacts import PreFacts
     from repro.store.specstore import SpecStore
 
@@ -107,18 +104,14 @@ class InferenceResult:
 
     program: Program
     specs: Dict[str, CaseSpec]
-    solver_stats: Optional[SolverStats] = None
+    solver_stats: SolverStats
     # per-method solver context (the SCC context the method was resolved
     # with), so post-hoc queries such as classification reuse warm caches
-    # and are counted in solver_stats; SCCs analysed in a pool worker
-    # have none and classify in a fresh, uncounted context
-    contexts: Optional[Dict[str, SolverContext]] = None
+    # and are counted in solver_stats
+    contexts: Dict[str, SolverContext]
 
     def verdict(self, method: str) -> Verdict:
-        ctx = self.contexts.get(method) if self.contexts else None
-        if ctx is None:
-            ctx = SolverContext()
-        return classify(self.specs[method], ctx=ctx)
+        return classify(self.specs[method], ctx=self.contexts[method])
 
     def pretty(self) -> str:
         return "\n\n".join(spec.pretty() for spec in self.specs.values())
@@ -166,8 +159,7 @@ def analyze_scc_group(
     definitions in a fresh :class:`DefStore` inside *ctx*, and returns
     the group's summaries in group-method order without mutating
     *solved*.  With a *spec_store* the summaries are written back under
-    *key*.  Runs inline with ``jobs=1`` and in a pool worker
-    (:mod:`repro.core.scheduler`) otherwise.
+    *key*.
     """
     group_methods = [
         program.methods[name]
@@ -176,8 +168,6 @@ def analyze_scc_group(
     ]
     if not group_methods:
         return {}
-    # Pre-analysis ranking hints ride on the Method nodes themselves, so
-    # they survive pickling into scheduler workers with no extra plumbing.
     rank_focus = {
         m.name: m.rank_hints for m in group_methods if m.rank_hints
     }
@@ -319,8 +309,7 @@ def resolve_scc(
     max_iter: int,
     time_budget: float,
     ctx: SolverContext,
-    dispatch: Optional[Callable[[], "Future"]] = None,
-) -> Union[Dict[str, CaseSpec], "Future"]:
+) -> Dict[str, CaseSpec]:
     """Resolve one call-graph SCC: the per-group step of [TNT-INF].
 
     The ladder, cheapest rung first: a group without bodies has nothing
@@ -328,10 +317,7 @@ def resolve_scc(
     from it (:func:`quick_scc_specs`); a spec-store hit replays the
     stored summaries (:func:`lookup_cached_specs`); anything else gets
     the full analysis (:func:`analyze_scc_group`) in *ctx*, which is
-    fresh per SCC.  With ``jobs > 1`` the wave loop
-    (:func:`repro.core.scheduler.run_waves`) passes *dispatch*: the last
-    rung then runs in a pool worker, and the future that *dispatch*
-    returns stands in for the summaries.
+    fresh per SCC.
     """
     body_methods = [n for n in scc if program.methods[n].body is not None]
     if not body_methods:
@@ -344,8 +330,6 @@ def resolve_scc(
         specs = lookup_cached_specs(spec_store, key, body_methods, ctx.stats)
         if specs is not None:
             return specs
-    if dispatch is not None:
-        return dispatch()
     return analyze_scc_group(
         program, scc, solved, key, spec_store, max_iter, time_budget, ctx
     )
@@ -356,7 +340,6 @@ def infer_program(
     max_iter: int = 8,
     desugared: bool = False,
     time_budget: float = 30.0,
-    jobs: int = 1,
     store: StoreArg = None,
     validate: bool = True,
     language: str = "native",
@@ -387,14 +370,6 @@ def infer_program(
         Wall-clock budget (seconds) for each SCC's TNT solving loop; on
         expiry the group degrades to weaker (``MayLoop``) cases instead
         of raising.
-    jobs:
-        ``1`` (default) analyzes SCCs in-process, callees first.
-        ``jobs > 1`` runs the full analysis of independent SCCs in that
-        many worker processes (:mod:`repro.core.scheduler`); ``jobs=0``
-        means one worker per CPU.  Every SCC is resolved by the same
-        :func:`resolve_scc` either way, each with a fresh
-        :class:`~repro.arith.context.SolverContext` feeding one
-        program-wide :class:`~repro.arith.context.SolverStats`.
     store:
         ``None`` (default) recomputes everything.  A directory path or
         :class:`repro.store.specstore.SpecStore` enables the persistent
@@ -404,7 +379,7 @@ def infer_program(
         ``time_budget`` knobs -- is looked up, and a hit replays the
         stored :class:`~repro.core.specs.CaseSpec` summaries without
         re-analysis.  Misses are analyzed normally and written back
-        (atomic rename, safe under ``jobs=N``).  Lookups are accounted
+        (atomic rename).  Lookups are accounted
         in ``solver_stats`` (``store_hits`` / ``store_misses`` /
         ``store_invalidations``).
     validate:
@@ -424,14 +399,14 @@ def infer_program(
     Returns
     -------
     InferenceResult
-        Summaries in callee-first order (for any ``jobs``) plus
-        program-wide solver statistics.
+        Summaries in callee-first order plus program-wide solver
+        statistics.  Every SCC is resolved by :func:`resolve_scc` in a
+        fresh :class:`~repro.arith.context.SolverContext`, and all of
+        them feed one :class:`~repro.arith.context.SolverStats`.
     """
-    from repro.core.scheduler import resolve_jobs, run_waves
     from repro.seplog.abstraction import abstract_program  # local: optional dep
     from repro.store.specstore import as_store
 
-    jobs = resolve_jobs(jobs)
     spec_store = as_store(store)
     with fresh_name_scope():
         stats = SolverStats()
@@ -442,40 +417,22 @@ def infer_program(
         if spec_store is not None:
             from repro.store.fingerprint import program_store_keys
 
-            sccs, deps, keys = program_store_keys(
+            sccs, _deps, keys = program_store_keys(
                 program, max_iter, time_budget, language
             )
         else:
-            # Only the wave loop reads the dependency sets.
-            sccs, deps = (
-                scc_dependencies(program) if jobs > 1
-                else (method_sccs(program), None)
-            )
+            sccs = method_sccs(program)
             keys = [None] * len(sccs)
-        solved: Dict[str, CaseSpec] = {}
+        specs: Dict[str, CaseSpec] = {}
         contexts: Dict[str, SolverContext] = {}
-
-        def resolve(i: int, dispatch=None):
+        for scc, key in zip(sccs, keys):
             ctx = SolverContext(stats=stats)
-            specs = resolve_scc(
-                program, sccs[i], keys[i], solved, prefacts, spec_store,
-                max_iter, time_budget, ctx, dispatch,
+            scc_specs = resolve_scc(
+                program, scc, key, specs, prefacts, spec_store,
+                max_iter, time_budget, ctx,
             )
-            if isinstance(specs, dict):
-                contexts.update(dict.fromkeys(specs, ctx))
-            return specs
-
-        if jobs == 1:
-            for i in range(len(sccs)):
-                solved.update(resolve(i))
-        else:
-            run_waves(
-                program, sccs, deps, keys, solved, resolve, stats,
-                jobs=jobs, max_iter=max_iter, time_budget=time_budget,
-                spec_store=spec_store,
-            )
-    # Callee-first order, whichever worker finished first.
-    specs = {name: solved[name] for scc in sccs for name in scc if name in solved}
+            specs.update(scc_specs)
+            contexts.update(dict.fromkeys(scc_specs, ctx))
     return InferenceResult(
         program=program, specs=specs, solver_stats=stats, contexts=contexts,
     )
@@ -483,7 +440,7 @@ def infer_program(
 
 def infer_source(
     source: str, max_iter: int = 8, time_budget: float = 30.0,
-    jobs: int = 1, store: StoreArg = None, validate: bool = True,
+    store: StoreArg = None, validate: bool = True,
     language: Optional[str] = None, filename: Optional[str] = None,
 ) -> InferenceResult:
     """Parse, desugar and infer a program given as concrete syntax.
@@ -491,9 +448,8 @@ def infer_source(
     ``language`` selects the source frontend by name (see
     :mod:`repro.lang.frontends`; ``None`` sniffs *filename*'s extension
     when given and otherwise means the ``native`` C-like syntax).
-    ``jobs``, ``store`` and ``validate`` are forwarded to
-    :func:`infer_program` unchanged (parallel SCC analysis; persistent
-    summary cache; lint layer)."""
+    ``store`` and ``validate`` are forwarded to :func:`infer_program`
+    unchanged (persistent summary cache; lint layer)."""
     from repro.lang.frontends import (
         DEFAULT_LANGUAGE,
         get_frontend,
@@ -506,5 +462,5 @@ def infer_source(
     return infer_program(
         frontend.parse(source, filename=filename),
         max_iter=max_iter, time_budget=time_budget,
-        jobs=jobs, store=store, validate=validate, language=frontend.name,
+        store=store, validate=validate, language=frontend.name,
     )

@@ -54,10 +54,9 @@ def method_sccs(program: Program) -> List[List[str]]:
     """SCCs of the call graph, callees before callers.
 
     Each SCC is sorted by name for determinism.  The callee-first ordering
-    is a *load-bearing invariant*: the sequential pipeline consumes groups
-    in list order, and the parallel wave scheduler
-    (:mod:`repro.core.scheduler`) derives its dependency waves from the
-    same condensation via :func:`scc_dependencies`.
+    is a *load-bearing invariant*: the pipeline consumes groups in list
+    order, so every callee summary exists before its callers are
+    analyzed.
     """
     sccs, _deps = scc_dependencies(program)
     return sccs
@@ -71,9 +70,9 @@ def scc_dependencies(
     ``sccs`` lists the strongly connected components callees-first (the
     exact :func:`method_sccs` order, each SCC sorted by name);
     ``deps[i]`` holds the indices of the SCCs that ``sccs[i]`` calls into
-    (its callee groups, excluding itself).  An SCC is ready to analyze
-    once every index in ``deps[i]`` has completed -- the wave structure of
-    the parallel scheduler.
+    (its callee groups, excluding itself).  The spec store closes these
+    edges transitively to fingerprint each SCC together with everything
+    it reaches (:mod:`repro.store.fingerprint`).
     """
     g = call_graph(program)
     condensation = nx.condensation(g)

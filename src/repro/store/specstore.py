@@ -20,10 +20,9 @@ Entry format (see :data:`MAGIC` / :data:`STORE_VERSION`)::
 where *payload* is the pickle of ``{"key": <fingerprint>, "specs":
 {name: CaseSpec}}``.  Formula and term nodes inside a ``CaseSpec``
 pickle via their ``__reduce__`` hooks and **re-intern on load** (the
-exact machinery the parallel scheduler relies on, see
-``docs/parallel.md``), so a loaded spec is indistinguishable from a
-freshly computed one: pointer-equal subterms, canonical conjunct order,
-O(1) cache probes.
+picklability contract of ``docs/parallel.md``), so a loaded spec is
+indistinguishable from a freshly computed one: pointer-equal subterms,
+canonical conjunct order, O(1) cache probes.
 
 Robustness: *any* defect in an entry -- wrong magic, unknown version,
 checksum mismatch, unpicklable payload, key mismatch -- rejects the
@@ -40,10 +39,11 @@ writable by less-trusted parties.
 
 Concurrency: writers serialize into a uniquely named temporary file in
 the destination directory and publish it with :func:`os.replace` (atomic
-on POSIX within one filesystem).  Concurrent writers under ``jobs=N``
-race benignly: both write complete entries for the same key and the
-last rename wins; readers see either a complete old entry or a complete
-new one, never a torn write.  See ``docs/store.md``.
+on POSIX within one filesystem).  Concurrent writers (the shard
+workers of one ``--jobs N`` sweep, the daemon's worker threads) race
+benignly: both write complete entries for the same key and the last
+rename wins; readers see either a complete old entry or a complete new
+one, never a torn write.  See ``docs/store.md``.
 """
 
 from __future__ import annotations

@@ -109,12 +109,3 @@ class TestPipelineIntegration:
         assert result.verdict("main") is Verdict.TERMINATING
         assert result.solver_stats.pre_quick == 0
         assert result.solver_stats.pre_seeded == 0
-
-
-@pytest.mark.parallel
-class TestSchedulerIntegration:
-    def test_parallel_quick_parity(self):
-        seq = infer_program(parse_program(STUCK))
-        par = infer_program(parse_program(STUCK), jobs=2)
-        assert par.verdict("main") is seq.verdict("main")
-        assert par.solver_stats.pre_quick == seq.solver_stats.pre_quick == 1

@@ -13,6 +13,7 @@ from repro.bench.runner import (
     BenchOutcome,
     HipTNTPlus,
     _bench_spec,
+    resolve_jobs,
     run_tool,
     run_tools_sharded,
 )
@@ -42,6 +43,21 @@ def _hip_pairs(names):
         bench = by_name(n)
         out.append((HipTNTPlus(bench.main), bench))
     return out
+
+
+class TestJobsPolicy:
+    def test_resolve_jobs(self):
+        import os
+
+        assert resolve_jobs(1) == 1
+        assert resolve_jobs(3) == 3
+        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        with pytest.raises(ValueError):
+            resolve_jobs(-4)
+
+    def test_jobs_validation(self):
+        with pytest.raises(ValueError):
+            run_tools_sharded(_hip_pairs(_FAST), jobs=-1)
 
 
 class TestShardedParity:

@@ -182,6 +182,16 @@ class TestAnalyzeNativeAndMixed:
         assert proc.returncode == 2
         assert "[st]" in proc.stderr
 
+    def test_analyze_rejects_jobs(self, tmp_path):
+        # one program is analyzed in one process; only the table and
+        # corpus sweeps fan out to worker processes
+        prog = tmp_path / "count.imp"
+        prog.write_text(NATIVE_TERM)
+        proc = bench_cli("analyze", "--jobs", "2", str(prog))
+        assert proc.returncode == 2
+        assert "'analyze' takes no --jobs" in proc.stderr
+        assert proc.stdout == ""
+
     def test_analyze_unknown_extension(self, tmp_path):
         prog = tmp_path / "count.xyz"
         prog.write_text(NATIVE_TERM)

@@ -1,6 +1,6 @@
 """The callees-before-callers ordering of ``method_sccs`` as a tested
-invariant, plus the condensation dependencies consumed by the parallel
-wave scheduler (:mod:`repro.core.scheduler`)."""
+invariant, plus the condensation dependencies from which the spec store
+derives each SCC's transitive callee set (:mod:`repro.store.fingerprint`)."""
 
 from repro.lang import parse_program
 from repro.lang.callgraph import method_sccs, scc_dependencies
@@ -85,8 +85,9 @@ class TestSccDependencies:
         assert deps[pos["top"]] == {pos["mid_a"], pos["mid_b"]}
 
     def test_diamond_middle_sccs_independent(self):
-        """The two middle SCCs form one wave: neither depends on the
-        other, which is what the scheduler exploits at jobs=2."""
+        """The two middle SCCs are independent: neither depends on the
+        other, so neither one's store key changes when the other's body
+        does."""
         program = parse_program(_FIXTURE)
         sccs, deps = scc_dependencies(program)
         pos = _positions(sccs)

@@ -1,7 +1,6 @@
 """End-to-end incremental re-analysis: warm runs replay every SCC from
-the store (sequential and jobs=2), edits re-analyze exactly the edited
-method's dependents, and a corrupt store degrades to cold analysis with
-identical answers."""
+the store, edits re-analyze exactly the edited method's dependents, and
+a corrupt store degrades to cold analysis with identical answers."""
 
 import pytest
 
@@ -39,24 +38,6 @@ class TestWarmRuns:
         assert warm.solver_stats.store_invalidations == 0
         assert _snapshot(warm) == _snapshot(cold)
 
-    def test_warm_run_under_jobs2(self, tmp_path):
-        store = tmp_path / "store"
-        cold = infer_source(DIAMOND, store=str(store))
-        warm = infer_source(DIAMOND, store=str(store), jobs=2)
-        assert warm.solver_stats.store_hits == N_SCCS
-        assert warm.solver_stats.store_misses == 0
-        assert _snapshot(warm) == _snapshot(cold)
-
-    def test_parallel_cold_run_populates_for_sequential_warm(self, tmp_path):
-        store = tmp_path / "store"
-        cold = infer_source(DIAMOND, store=str(store), jobs=2)
-        assert cold.solver_stats.store_misses == N_SCCS
-        assert len(SpecStore(store)) == N_SCCS  # workers wrote back
-        warm = infer_source(DIAMOND, store=str(store))
-        assert warm.solver_stats.store_hits == N_SCCS
-        assert warm.solver_stats.store_misses == 0
-        assert _snapshot(warm) == _snapshot(cold)
-
     def test_store_accepts_open_instance(self, tmp_path):
         store = SpecStore(tmp_path / "store")
         infer_source(DIAMOND, store=store)
@@ -65,20 +46,19 @@ class TestWarmRuns:
 
 
 class TestDeepChains:
-    def test_warm_store_on_deep_scc_chain_jobs2(self, tmp_path):
-        """Regression: warm hits resolve SCCs inline in the scheduler's
-        parent; on a long call chain the old recursive submit()/finish()
-        overflowed the stack exactly on the fully cached runs the store
-        exists to accelerate.  The ready-worklist must drain a ~900-SCC
-        chain iteratively."""
+    def test_warm_store_on_deep_scc_chain(self, tmp_path):
+        """A fully cached run over a ~900-SCC call chain replays every
+        SCC from the store and gives the cold run's summaries: neither
+        the store-key pass nor the driver loop may nest a stack frame
+        per SCC."""
         n = 900
         parts = [f"int f{n}(int x) {{ return 0; }}"]
         for i in range(n - 1, -1, -1):
             parts.append(f"int f{i}(int x) {{ return f{i + 1}(x); }}")
         src = "\n".join(parts)
         store = str(tmp_path / "store")
-        cold = infer_source(src, store=store, jobs=2)
-        warm = infer_source(src, store=store, jobs=2)
+        cold = infer_source(src, store=store)
+        warm = infer_source(src, store=store)
         assert warm.solver_stats.store_misses == 0
         assert warm.solver_stats.store_hits == n + 1
         assert warm.pretty() == cold.pretty()
