@@ -570,7 +570,9 @@ def _walk(pending, cube: List[Atom], table: "fm.BoundsTable",
             else:
                 for a in reversed(node[1]):
                     pending = (a, pending)
-        return fm.cube_is_sat(list(cube))
+        # *table* holds exactly *cube*'s bounds, consistent, so the
+        # pre-pass of ``cube_is_sat`` would only repeat that work.
+        return fm.cube_is_sat(list(cube), bounds_checked=True)
     finally:
         del cube[cube_mark:]
         fm.undo_bounds(table, trail, trail_mark)

@@ -116,9 +116,10 @@ class _Births:
 
     The atom-based engine created an atom for every derived constraint,
     and formula nodes sort by creation.  A derived row is born unless an
-    equal row is still held, and a row that every list dropped is born
-    again when it is derived again (its atom had died); result atoms are
-    built in the order of these births."""
+    equal row is still held, and a row that nothing holds any more (no
+    list, nor the atom engine's loop variable) is born again when it is
+    derived again (its atom had died); result atoms are built in the
+    order of these births."""
 
     def __init__(self) -> None:
         self.order: Dict[Tuple[Row, Rel], int] = {}
@@ -201,9 +202,24 @@ def _substitute(
             births.derived(new, rel)
         return new
 
+    # The atom engine's loop variable kept the last atom of its latest
+    # non-empty loop over ``eqs`` or ``les`` alive until its next such
+    # loop began, even after the rewritten list had dropped it.
+    loop_var: List[Tuple[Row, Rel]] = []
+
     def held() -> None:
         if births is not None:
-            births.held([(r, _EQ) for r in eqs + solved + [eq]] + les)
+            births.held(
+                [(r, _EQ) for r in eqs + solved + [eq]] + les + loop_var
+            )
+
+    def rebind(last: Tuple[Row, Rel]) -> None:
+        """A loop over a list ending in *last* begins."""
+        if births is not None:
+            if loop_var:
+                loop_var.clear()
+                held()
+            loop_var.append(last)
 
     while eqs:
         eq = eqs.pop()
@@ -217,14 +233,21 @@ def _substitute(
         c = eq[p]
         if record is not None:
             record.append((p, eq))
+        if eqs:
+            rebind((eqs[-1], _EQ))
         eqs = [r for r in (sub(r, _EQ) for r in eqs) if r is not None]
         held()
+        if les:
+            rebind(les[-1])
         les = [(r, rel) for r, rel in ((sub(r, rel), rel) for r, rel in les)
                if r is not None]
         held()
         solved = [r for r in (sub(r, _EQ) for r in solved)
                   if r is not None]
         solved.append(eq)
+        held()
+    if loop_var:  # the loop variable dies with the atom engine's call
+        loop_var.clear()
         held()
     return solved, [(row, rel is _LT) for row, rel in les]
 
@@ -451,23 +474,25 @@ _CUBE_SAT_CACHE = LRUCache(500_000)
 _BOUNDS_UNSAT = 0
 
 
-def cube_is_sat(atoms: Sequence[Atom]) -> bool:
+def cube_is_sat(atoms: Sequence[Atom], *, bounds_checked: bool = False) -> bool:
     """Satisfiability of a conjunction of atoms (integer-tightened FM).
 
     Opposite bounds on one linear term are checked first
     (:func:`bounds_refute`, linear in the cube); a cube refuted there never
-    reaches the cache or FM.  Other results are memoised on the atom set in
-    an LRU-bounded cache -- the inference re-checks the same contexts many
-    times across specialisation iterations, and under memory pressure the
-    least-recently-used entries are evicted instead of the cache silently
-    refusing new entries.
+    reaches the cache or FM.  A caller that has already put every atom
+    through :func:`add_bound` into one table without a contradiction
+    passes ``bounds_checked=True`` to skip that repeat.  Other results are
+    memoised on the atom set in an LRU-bounded cache -- the inference
+    re-checks the same contexts many times across specialisation
+    iterations, and under memory pressure the least-recently-used entries
+    are evicted instead of the cache silently refusing new entries.
 
     Raises :class:`AnalysisTimeout` once the scoped :func:`deadline` has
     passed.
     """
     global _BOUNDS_UNSAT
     check_deadline()
-    if bounds_refute(atoms):
+    if not bounds_checked and bounds_refute(atoms):
         _BOUNDS_UNSAT += 1
         return False
     key = frozenset(atoms)

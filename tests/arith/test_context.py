@@ -196,7 +196,7 @@ class TestDNFLimit:
     def test_out_of_memory_is_not_read_as_a_cap_hit(self, ctx, monkeypatch):
         """Only the cube cap degrades a query to "satisfiable"; a real
         ``MemoryError`` from the decision procedure propagates."""
-        def out_of_memory(atoms):
+        def out_of_memory(atoms, **kwargs):
             raise MemoryError("out of memory")
 
         monkeypatch.setattr(fm, "cube_is_sat", out_of_memory)

@@ -199,9 +199,9 @@ def _lazy(monkeypatch, p, prefixes=((),)):
     leaves = []
     real = fm.cube_is_sat
 
-    def sat(cube):
+    def sat(cube, **kwargs):
         leaves.append(list(cube))
-        return real(cube)
+        return real(cube, **kwargs)
 
     monkeypatch.setattr(fm, "cube_is_sat", sat)
     try:

@@ -10,8 +10,10 @@ different numbers of Python frames per interpreted call.
 """
 
 import gc
+import io
 import random
 import sys
+import tokenize
 import weakref
 
 import pytest
@@ -21,7 +23,13 @@ from repro.bench.programs import all_programs
 from repro.corpus.generate import GeneratedBenchmark
 from repro.corpus.run import _term_samples
 from repro.lang import ast
-from repro.lang.interp import AssumeViolated, Interpreter, OutOfFuel
+from repro.lang.interp import (
+    MAX_CALL_DEPTH,
+    AssumeViolated,
+    Interpreter,
+    OutOfFuel,
+    _Codegen,
+)
 from repro.lang.parser import parse_program
 
 #: Small enough to keep the whole corpus sweep quick, large enough that
@@ -245,3 +253,201 @@ def test_finished_run_is_freed_without_the_cycle_collector():
         if was_enabled:
             gc.enable()
 
+
+# ---------------------------------------------------------------------------
+# The code generator's own edges: identifiers, deep nesting, call depth
+# ---------------------------------------------------------------------------
+
+#: Source names that are Python keywords, builtins or the generator's own
+#: names.  Substituted for ``N0``...``N13`` in :data:`NAMES_TEMPLATE`.
+HOSTILE_NAMES = (
+    "lambda", "None", "class", "env", "fuel", "tick", "_st", "_M", "_d",
+    "v0", "v1", "_U", "len", "_x0",
+)
+
+NAMES_TEMPLATE = """
+data N11 { int N0; N11 N1; }
+int N12(int N0, int N2)
+{
+  int N3 = 0;
+  while ((N0 > 0)) {
+    N3 = (N3 + N2);
+    N0 = (N0 - 1);
+  }
+  return N3;
+}
+void N13(int N4) { if ((N4 > 2)) { return; } else { } }
+int N9(int N5, int N6)
+{
+  N11 N7 = new N11(N5, null);
+  N7.N0 = (N7.N0 + N12(N6, 2));
+  havoc N8;
+  N13(N8);
+  int N10 = nondet();
+  if ((N10 > 0)) { N3 = 1; } else { }
+  if (((N8 > 0) && (N10 > 0))) { return ((N7.N0 + N3) + N10); }
+  return (N7.N0 - N8);
+}
+"""
+
+
+def _names_program(names):
+    source = NAMES_TEMPLATE
+    for i in reversed(range(len(names))):  # N13 before N1
+        source = source.replace(f"N{i}", names[i])
+    return parse_program(source), names[9]
+
+
+@pytest.mark.parametrize("draws", [[], [3, 2], [-1, 5], [4, -2]])
+def test_python_and_generator_names_are_plain_source_names(draws):
+    program, entry = _names_program(HOSTILE_NAMES)
+    for args in ([1, 3], [4, 0], [-2, 5]):
+        for fuel in (5, 30, 500):
+            assert_same(program, entry, args, fuel, draws)
+
+
+def _python_tokens(program, name):
+    """The generated text of method *name*, as Python tokens, with string
+    constants replaced by a placeholder."""
+    source = _Codegen(program, program.method(name), True).source()
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return [
+        "<str>" if t.type == tokenize.STRING else t.string for t in tokens
+    ]
+
+
+def test_source_names_reach_generated_code_only_as_strings():
+    """Renaming every source identifier changes nothing in the generated
+    code but its string constants."""
+    hostile, _ = _names_program(HOSTILE_NAMES)
+    bland, _ = _names_program([f"name{i}" for i in range(len(HOSTILE_NAMES))])
+    for i in (9, 12, 13):
+        assert _python_tokens(hostile, HOSTILE_NAMES[i]) == _python_tokens(
+            bland, f"name{i}"
+        )
+
+
+#: ``x + nondet() + 1 + ... + 1``: 5,000 terms, parsed left-deep.
+LONG_SUM = parse_program(
+    "int main(int x) { return ((x + nondet())" + " + 1" * 4_998 + "); }"
+)
+
+
+def test_left_deep_sum_of_five_thousand_terms():
+    assert assert_same(LONG_SUM, "main", [5], 100, draws=[7])[0] == (
+        "halted", 5 + 7 + 4_998,
+    )
+    for fuel in (1, 2, 3):
+        assert_same(LONG_SUM, "main", [5], fuel, draws=[7])
+
+
+def _nest(depth, leaf, i=0):
+    """A right-leaning expression *depth* operators deep that cycles
+    through arithmetic, comparisons, negation, short-circuits and calls."""
+    e = leaf
+    for k in range(depth):
+        kind = (i + k) % 7
+        if kind == 0:
+            e = ast.Binary("+", ast.Var("x"), e)
+        elif kind == 1:
+            e = ast.Binary("*", ast.IntLit(1), e)
+        elif kind == 2:
+            e = ast.Unary("-", e)
+        elif kind == 3:
+            e = ast.Binary("-", ast.Nondet(), e)
+        elif kind == 4:
+            e = ast.CallExpr("id", (e,))
+        elif kind == 5:
+            e = ast.Binary("+", e, ast.Binary("<", ast.Var("x"), ast.IntLit(2)))
+        else:
+            e = ast.Binary("||", ast.Binary(">", ast.Var("x"), ast.IntLit(3)), e)
+    return e
+
+
+def _deep_expressions():
+    program = parse_program("int id(int a) { return a; }")
+    leaves = {
+        "plain": ast.Var("x"),
+        "unknown": ast.Binary("+", ast.Nondet(), ast.Var("missing")),
+        "draws": ast.Binary("*", ast.Nondet(), ast.Nondet()),
+    }
+    int_param = [ast.Param(ast.INT, "x")]
+    for name, leaf in leaves.items():
+        for depth in (60, 230):
+            body = ast.Return(_nest(depth, leaf))
+            method = f"{name}_{depth}"
+            program.methods[method] = ast.Method(ast.INT, method, int_param, body)
+    not_chain = ast.Var("x")
+    for _ in range(260):
+        not_chain = ast.Unary("!", not_chain)
+    program.methods["nots"] = ast.Method(
+        ast.BOOL, "nots", int_param, ast.Return(not_chain))
+    return program
+
+
+DEEP_EXPRESSIONS = _deep_expressions()
+
+
+@pytest.mark.parametrize(
+    "entry", sorted(m for m in DEEP_EXPRESSIONS.methods if m != "id"))
+def test_expressions_nested_past_the_python_parser_limit(entry):
+    draws = [2, -1, 3, 0, 1] * 80
+    for x in (0, 1, 5):
+        for fuel in (3, 40, 100_000):
+            assert_same(DEEP_EXPRESSIONS, entry, [x], fuel, draws)
+
+
+def _deep_statements():
+    """``while`` loops nested 25 deep (CPython allows 20 nested blocks)
+    inside ``if``s nested 120 deep (it allows 100 indentation levels),
+    with declarations, an unknown variable and a return at the bottom."""
+    x, n = ast.Var("x"), ast.Var("n")
+    inner = ast.Seq((
+        ast.Assign("n", ast.Binary("+", n, ast.Nondet())),
+        ast.If(ast.Binary(">", n, ast.IntLit(40)),
+               ast.Return(ast.Binary("+", n, ast.Var("late"))), ast.Skip()),
+        ast.VarDecl(ast.INT, "late", ast.IntLit(1)),
+    ))
+    body = inner
+    for k in range(25):
+        counter = f"c{k}"
+        body = ast.Seq((
+            ast.VarDecl(ast.INT, counter, ast.IntLit(0)),
+            ast.While(
+                ast.Binary("<", ast.Var(counter), ast.IntLit(2)),
+                ast.Seq((
+                    ast.Assign(counter, ast.Binary("+", ast.Var(counter),
+                                                   ast.IntLit(1))),
+                    body,
+                )),
+            ),
+        ))
+    for k in range(120):
+        body = ast.If(ast.Binary(">", x, ast.IntLit(k - 60)), body,
+                      ast.Assign("n", ast.Binary("-", n, ast.IntLit(1))))
+    body = ast.Seq((ast.VarDecl(ast.INT, "n", ast.IntLit(0)), body,
+                    ast.Return(n)))
+    method = ast.Method(ast.INT, "main", [ast.Param(ast.INT, "x")], body)
+    return ast.Program({}, {"main": method})
+
+
+DEEP_STATEMENTS = _deep_statements()
+
+
+@pytest.mark.parametrize("x", [-70, 70])
+def test_statements_nested_past_the_python_block_limits(x):
+    for draws in ([0], [1, 0, 2], [9, 9, 9, 9, 9], [50]):
+        for fuel in (50, 400, 5_000, 100_000):
+            assert_same(DEEP_STATEMENTS, "main", [x], fuel, draws)
+
+
+def test_call_depth_cap_is_deterministic():
+    assert Interpreter(COUNTDOWN, fuel=10**6).run(
+        "f", [MAX_CALL_DEPTH - 1]) == MAX_CALL_DEPTH - 1
+    left = []
+    for _ in range(2):
+        interp = Interpreter(COUNTDOWN, fuel=10**6)
+        with pytest.raises(OutOfFuel):
+            interp.run("f", [MAX_CALL_DEPTH])
+        left.append(interp.fuel)
+    assert left[0] == left[1] > 0
